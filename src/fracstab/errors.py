@@ -46,7 +46,7 @@ class DimensionCap(FracstabError):
 
 
 class StepCap(FracstabError):
-    """The requested time grid exceeds the quadratic-memory step cap."""
+    """The requested time grid exceeds the integrator's step cap."""
 
 
 class NotDecaying(FracstabError):

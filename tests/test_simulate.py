@@ -17,12 +17,44 @@ from fracstab import (
     integrate,
     region_membership,
 )
+from fracstab.simulate import _BLOCK
 
 REF_A = dict(a11=0.00001, a12=1.0, a21=-0.0022, a22=0.1)
 REF_STABLE = SystemSpec(**REF_A, q1=0.5, q2=0.25)
 REF_GROWING = SystemSpec(**REF_A, q1=0.25, q2=0.5)
 DECOUPLED = SystemSpec(-1.0, 0.0, 0.0, -1.0, 0.5, 0.5)
 FOCUS = SystemSpec(-1.0, 2.0, -2.0, -1.0, 1.0, 1.0)
+MIXED = SystemSpec(-1.0, 0.5, -0.5, -0.8, 0.6, 0.9)
+
+
+def direct_integrate(s, x0, t_end, h):
+    """Reference ABM PECE: the same weights summed directly, O(N^2).
+
+    Returns (states, overflowed); integrate must agree with it.
+    """
+    n_steps = int(math.ceil(t_end / h - 1e-12))
+    a = np.array([[s.a11, s.a12], [s.a21, s.a22]])
+    qs = np.array([s.q1, s.q2])
+    m = np.arange(n_steps + 1, dtype=float)
+    d_ker = [(m + 1.0) ** q - m**q for q in qs]
+    c_ker = [(m + 2.0) ** (q + 1.0) + m ** (q + 1.0) - 2.0 * (m + 1.0) ** (q + 1.0) for q in qs]
+    w_pred = np.array([h**q / math.gamma(q + 1.0) for q in qs])
+    w_corr = np.array([h**q / math.gamma(q + 2.0) for q in qs])
+    x_init = np.asarray(x0, dtype=float)
+    x = np.empty((n_steps + 1, 2))
+    f = np.empty((n_steps + 1, 2))
+    x[0] = x_init
+    f[0] = a @ x_init
+    for n in range(n_steps):
+        mem_p = np.array([np.dot(d_ker[i][: n + 1][::-1], f[: n + 1, i]) for i in (0, 1)])
+        f_pred = a @ (x_init + w_pred * mem_p)
+        a0 = np.array([n ** (q + 1.0) - (n - q) * (n + 1.0) ** q for q in qs])
+        mem_c = np.array([np.dot(c_ker[i][:n][::-1], f[1 : n + 1, i]) for i in (0, 1)])
+        x[n + 1] = x_init + w_corr * (f_pred + a0 * f[0] + mem_c)
+        if not np.all(np.isfinite(x[n + 1])) or np.max(np.abs(x[n + 1])) > 1e300:
+            return x[: n + 1], True
+        f[n + 1] = a @ x[n + 1]
+    return x, False
 
 
 def test_trajectory_fields():
@@ -189,6 +221,46 @@ def test_bitwise_determinism():
     b = integrate(REF_GROWING, (1.0, 1.0), 10.0, 0.01)
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.times, b.times)
+
+
+@pytest.mark.parametrize(
+    "s, x0, h",
+    [
+        (DECOUPLED, (1.0, 2.0), 0.01),
+        (FOCUS, (1.0, 0.0), 1e-3),
+        (REF_STABLE, (1.0, 1.0), 2.5),
+        (REF_GROWING, (1.0, 1.0), 0.05),
+        (MIXED, (1.0, 0.5), 0.01),
+    ],
+)
+@pytest.mark.parametrize("steps", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 3000])
+def test_matches_direct_sum(s, x0, h, steps):
+    # step counts straddle the base blocks of the FFT memory sums
+    traj = integrate(s, x0, steps * h, h)
+    ref, overflowed = direct_integrate(s, x0, steps * h, h)
+    assert traj.states.shape == ref.shape == (steps + 1, 2)
+    assert traj.overflowed is overflowed is False
+    assert np.max(np.abs(traj.states - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize(
+    "s, x0, t_end, h, rows, overflowed",
+    [
+        # grows past 1e300 and truncates after the same step as the direct sum
+        (SystemSpec(5.0, 0.0, 0.0, 5.0, 1.0, 1.0), (1.0, 1.0), 200.0, 0.01, 13822, True),
+        # decays from 1e300: a block of f summed by FFT would overflow unscaled
+        (
+            SystemSpec(-4000.0, 0.0, 0.0, -4000.0, 1.0, 1.0),
+            (1e300, 1e300), 512e-6, 1e-6, 513, False,
+        ),
+    ],
+)
+def test_matches_direct_sum_near_overflow(s, x0, t_end, h, rows, overflowed):
+    traj = integrate(s, x0, t_end, h)
+    ref, ref_overflowed = direct_integrate(s, x0, t_end, h)
+    assert len(traj.times) == len(traj.states) == len(ref) == rows
+    assert traj.overflowed is ref_overflowed is overflowed
+    assert np.max(np.abs(traj.states - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_step_cap():
