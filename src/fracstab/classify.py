@@ -11,6 +11,10 @@ of the margin a22 - phi(a11) relative to the critical curve: below the curve
 the system is asymptotically stable with algebraic decay exponent
 min(q1, q2), above it unstable, and points on the curve carry pure imaginary
 roots and are reported as marginal, never silently resolved.
+
+The (q1, q2) rasters of qscan and qscan_verdicts run the region test once per
+system, because its verdict does not depend on the orders, and otherwise find
+omega* for every cell at once by one array bisection (curve.phi_orders).
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .chareq import SystemSpec
-from .curve import CurveParams, phi
+from .curve import CurveParams, phi, phi_orders
 from .errors import DeltaNotPositive, DeltaZeroUnclassified, DomainError
 
 __all__ = [
@@ -181,25 +185,33 @@ def qscan(a11: float, a22: float, delta: float, grid_n: int) -> np.ndarray:
 
     Cell [j-1, k-1] is True iff the system is classified stable at
     q1 = j/grid_n, q2 = k/grid_n (j, k = 1..grid_n). Marginal cells are False
-    here; use qscan_verdicts to keep them distinguishable.
+    here; use qscan_verdicts, which decides the raster, to keep them
+    distinguishable.
     """
     return np.asarray(qscan_verdicts(a11, a22, delta, grid_n) == 1)
 
 
 def qscan_verdicts(a11: float, a22: float, delta: float, grid_n: int) -> np.ndarray:
-    """Ternary raster over (q1, q2): 0 unstable, 1 stable, 2 marginal."""
+    """Ternary raster over (q1, q2): 0 unstable, 1 stable, 2 marginal.
+
+    Cell [j-1, k-1] holds the verdict of classify at q1 = j/grid_n,
+    q2 = k/grid_n. The order-independent rules run once, since their verdict
+    holds for every cell; when they are silent, phi_orders finds phi in every
+    cell at once and each margin is compared with tie_tolerance(a22).
+    """
     if not delta > 0.0:
         raise DeltaNotPositive(f"qscan requires delta > 0, got {delta!r}")
     if grid_n < 2:
         raise ValueError(f"grid_n must be >= 2, got {grid_n!r}")
-    out = np.zeros((grid_n, grid_n), dtype=np.int8)
-    for j in range(1, grid_n + 1):
-        for k in range(1, grid_n + 1):
-            v = _classify_params(a11, a22, delta, j / grid_n, k / grid_n)
-            if v.is_stable:
-                out[j - 1, k - 1] = 1
-            elif v.kind is VerdictKind.MarginalOnCurve:
-                out[j - 1, k - 1] = 2
+    oi = classify_order_independent(a11, a22, delta)
+    if oi is not None:
+        return np.full((grid_n, grid_n), int(oi.is_stable), dtype=np.int8)
+    q = np.arange(1, grid_n + 1) / grid_n
+    margin = a22 - phi_orders(delta, a11, q[:, None], q[None, :])
+    tol = tie_tolerance(a22)
+    out = np.full((grid_n, grid_n), 2, dtype=np.int8)
+    out[margin < -tol] = 1
+    out[margin > tol] = 0
     return out
 
 

@@ -163,9 +163,9 @@ def _cmd_qscan(args) -> int:
     grid = qscan_verdicts(args.a11, args.a22, delta, args.grid)
     lines = ["q1,q2,stable"]
     n = args.grid
-    for j in range(1, n + 1):
-        for k in range(1, n + 1):
-            lines.append(f"{_fmt(j / n)},{_fmt(k / n)},{int(grid[j - 1, k - 1])}")
+    qs = [_fmt(j / n) for j in range(1, n + 1)]
+    for q1, row in zip(qs, grid.tolist()):
+        lines.extend(f"{q1},{q2},{v}" for q2, v in zip(qs, row))
     body = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

@@ -27,6 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import BracketFailure, CommensurateOrders
 from .chareq import _check_order
 
@@ -39,6 +41,7 @@ __all__ = [
     "curve_point",
     "solve_omega_star",
     "phi",
+    "phi_orders",
     "sample_curve",
     "u_max",
 ]
@@ -49,10 +52,12 @@ __all__ = [
 # across the switch.
 EPS_COMM = 1e-8
 
-# Bisection tolerances for solve_omega_star.
+# Bisection tolerances for solve_omega_star and phi_orders.
 _OMEGA_REL_WIDTH = 1e-13
 _RESID_ABS = 1e-12
 _RESID_REL = 1e-10
+# The bracket stays within |q*w| <= _EXP_ARG_MAX for the smaller order q.
+_EXP_ARG_MAX = 700.0
 
 
 @dataclass(frozen=True)
@@ -132,7 +137,7 @@ def curve_point(cp: CurveParams, omega: float) -> CurvePoint:
 
 def _omega_cap(q1: float, q2: float) -> float:
     # exp(q*w) overflows past ~709/q in double precision
-    return 700.0 / min(q1, q2)
+    return _EXP_ARG_MAX / min(q1, q2)
 
 
 def solve_omega_star(cp: CurveParams, a11: float) -> float:
@@ -199,6 +204,84 @@ def phi(cp: CurveParams, a11: float) -> float:
     w_star = solve_omega_star(cp, a11)
     e2 = cp.q2 / (cp.q1 + cp.q2)
     return cp.delta**e2 * h_func(-w_star, cp.q1, cp.q2)
+
+
+def phi_orders(delta: float, a11: float, q1, q2) -> np.ndarray:
+    """phi(CurveParams(delta, q1, q2), a11) for every order pair of two arrays.
+
+    q1 and q2 broadcast against each other. Commensurate pairs go through phi
+    itself; all others share one array bisection that keeps, cell by cell,
+    the doubling, stop rules and residual allowance of solve_omega_star, and
+    raises BracketFailure if any cell fails. np.exp and math.exp may differ
+    in the last bit, so the values match phi to within 1e-11 relative, not
+    bitwise. Where math.exp would overflow and phi raise OverflowError,
+    np.exp gives inf of the right sign and the bisection carries on.
+    """
+    if not (math.isfinite(delta) and delta > 0.0):
+        raise ValueError(f"delta must be finite and > 0, got {delta!r}")
+    if not math.isfinite(a11):
+        raise ValueError(f"a11 must be finite, got {a11!r}")
+    q1, q2 = np.broadcast_arrays(np.asarray(q1, dtype=float), np.asarray(q2, dtype=float))
+    if not np.all((q1 > 0.0) & (q1 <= 1.0) & (q2 > 0.0) & (q2 <= 1.0)):
+        raise ValueError("orders must lie in (0, 1]")
+    out = np.empty(q1.shape)
+    comm = np.abs(q1 - q2) <= EPS_COMM
+    for i in map(tuple, np.argwhere(comm)):
+        out[i] = phi(CurveParams(delta, float(q1[i]), float(q2[i])), a11)
+    p1, p2 = q1[~comm], q2[~comm]
+    den = np.sin((p2 - p1) * math.pi / 2.0)
+    r1 = np.sin(p1 * math.pi / 2.0) / den
+    r2 = np.sin(p2 * math.pi / 2.0) / den
+    scale = delta ** (p1 / (p1 + p2))
+
+    def h(w):
+        return r2 * np.exp(p1 * w) - r1 * np.exp(-p2 * w)
+
+    def g(w):
+        return scale * h(w) - a11
+
+    with np.errstate(over="ignore"):
+        cap = _EXP_ARG_MAX / np.minimum(p1, p2)
+        lo = np.full(p1.shape, -1.0)
+        hi = np.full(p1.shape, 1.0)
+        glo, ghi = g(lo), g(hi)
+        need = glo * ghi > 0.0
+        while need.any():
+            stuck = need & (lo <= -cap) & (hi >= cap)
+            if stuck.any():
+                raise BracketFailure(
+                    f"no sign change of a11(w) - a11 within |w| <= {cap[stuck][0]:g}"
+                )
+            lo = np.where(need, np.maximum(2.0 * lo, -cap), lo)
+            hi = np.where(need, np.minimum(2.0 * hi, cap), hi)
+            glo, ghi = g(lo), g(hi)
+            need = glo * ghi > 0.0
+
+        while True:
+            mid = 0.5 * (lo + hi)
+            width = _OMEGA_REL_WIDTH * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+            active = (hi - lo > width) & (mid > lo) & (mid < hi)
+            if not active.any():
+                break
+            gmid = g(mid)
+            left = glo * gmid < 0.0
+            # a zero of g at mid closes the bracket onto mid
+            to_hi = active & (left | (gmid == 0.0))
+            to_lo = active & ~left
+            hi, ghi = np.where(to_hi, mid, hi), np.where(to_hi, gmid, ghi)
+            lo, glo = np.where(to_lo, mid, lo), np.where(to_lo, gmid, glo)
+
+        w = 0.5 * (lo + hi)
+        resid = np.abs(g(w))
+        allowance = _RESID_ABS + _RESID_REL * abs(a11) + np.abs(ghi - glo)
+        bad = resid > allowance
+        if bad.any():
+            raise BracketFailure(
+                f"bisection residual {resid[bad][0]:.3e} exceeds allowance "
+                f"{allowance[bad][0]:.3e}"
+            )
+        out[~comm] = delta ** (p2 / (p1 + p2)) * h(-w)
+    return out
 
 
 def sample_curve(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fracstab import (
+    BracketFailure,
     CurveParams,
     DeltaNotPositive,
     DeltaZeroUnclassified,
@@ -24,6 +25,9 @@ from fracstab import (
     region_membership,
     tie_tolerance,
 )
+from fracstab import curve
+from fracstab.classify import _classify_params
+from fracstab.curve import phi_orders
 
 REF_A = dict(a11=0.00001, a12=1.0, a21=-0.0022, a22=0.1)
 REF_DELTA = REF_A["a11"] * REF_A["a22"] - REF_A["a12"] * REF_A["a21"]
@@ -167,6 +171,82 @@ def test_qscan_verdicts_marginal_cell():
     g = qscan_verdicts(c, c, 4.0, 2)
     assert g[0, 0] == 2  # (0.5, 0.5) marginal
     assert set(np.unique(g)) <= {0, 1, 2}
+
+
+def per_cell_qscan(a11, a22, delta, grid_n):
+    """The per-cell loop qscan_verdicts replaced: every cell classified alone.
+
+    Returns the ternary raster and the phi of each cell (NaN where the
+    order-independent rules decided it)."""
+    out = np.zeros((grid_n, grid_n), dtype=np.int8)
+    phis = np.full((grid_n, grid_n), np.nan)
+    for j in range(1, grid_n + 1):
+        for k in range(1, grid_n + 1):
+            v = _classify_params(a11, a22, delta, j / grid_n, k / grid_n)
+            if v.is_stable:
+                out[j - 1, k - 1] = 1
+            elif v.kind is VerdictKind.MarginalOnCurve:
+                out[j - 1, k - 1] = 2
+            if v.phi_value is not None:
+                phis[j - 1, k - 1] = v.phi_value
+    return out, phis
+
+
+def assert_raster_matches_oracle(a11, a22, delta, grid_n):
+    expected, phis = per_cell_qscan(a11, a22, delta, grid_n)
+    np.testing.assert_array_equal(qscan_verdicts(a11, a22, delta, grid_n), expected)
+    if not np.isnan(phis).all():
+        q = np.arange(1, grid_n + 1) / grid_n
+        got = phi_orders(delta, a11, q[:, None], q[None, :])
+        # np.exp and math.exp differ by an ulp on some inputs: no bit equality
+        assert np.all(np.abs(got - phis) <= 1e-11 * (1.0 + np.abs(phis)))
+
+
+@pytest.mark.parametrize("grid_n,n_systems", [(2, 8), (3, 8), (8, 8), (32, 3), (48, 2)])
+def test_qscan_matches_per_cell_loop(grid_n, n_systems):
+    rng = np.random.default_rng(25 + grid_n)
+    done = 0
+    while done < n_systems:
+        delta = rng.uniform(0.05, 10.0)
+        a11, a22 = rng.uniform(-5.0, 5.0, size=2)
+        if classify_order_independent(a11, a22, delta) is not None:
+            continue
+        assert_raster_matches_oracle(a11, a22, delta, grid_n)
+        done += 1
+
+
+@pytest.mark.parametrize(
+    "a11,a22,delta,grid_n",
+    [
+        (-1.0, -1.0, 1.0, 8),  # R_s
+        (3.0, 3.0, 4.0, 8),  # R_u, sum branch
+        (0.5, 0.5, 0.2, 5),  # R_u, product branch
+        (REF_A["a11"], REF_A["a22"], REF_DELTA, 64),
+        (math.sqrt(4.0) * math.cos(math.pi / 4), math.sqrt(4.0) * math.cos(math.pi / 4), 4.0, 2),
+        # |w*| reaches 221, so the bracket doubles from [-1, 1] up to [-256, 256]
+        (-1e6, 2.0, 1.0, 32),
+    ],
+)
+def test_qscan_matches_per_cell_loop_special(a11, a22, delta, grid_n):
+    assert_raster_matches_oracle(a11, a22, delta, grid_n)
+
+
+def test_qscan_bracket_failure(monkeypatch):
+    # a bracket cap of 2/min(q) leaves a11 = -1e6 out of reach in every
+    # incommensurate cell, for the scalar phi and the raster alike
+    monkeypatch.setattr(curve, "_EXP_ARG_MAX", 2.0)
+    with pytest.raises(BracketFailure):
+        per_cell_qscan(-1e6, 2.0, 1.0, 4)
+    with pytest.raises(BracketFailure):
+        qscan_verdicts(-1e6, 2.0, 1.0, 4)
+
+
+def test_qscan_rejects_bad_inputs():
+    for delta in (0.0, -1.0):
+        with pytest.raises(DeltaNotPositive):
+            qscan_verdicts(-1.0, -1.0, delta, 4)
+    with pytest.raises(ValueError):
+        qscan_verdicts(-1.0, -1.0, 1.0, 1)
 
 
 def test_qscan_rows_change_only_with_margin_sign():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import fracstab
-from fracstab import SystemSpec, classify
+from fracstab import SystemSpec, classify, curve, qscan_verdicts
 from fracstab.cli import (
     EXIT_DATA,
     EXIT_INTERNAL,
@@ -16,6 +16,7 @@ from fracstab.cli import (
     EXIT_UNSTABLE,
     EXIT_USAGE,
     VERDICT_EXIT_CODES,
+    _fmt,
     main,
 )
 
@@ -225,6 +226,43 @@ def test_qscan_marginal_cell(capsys):
         if len(parts) == 3 and not ln.startswith("q1"):
             rows[(float(parts[0]), float(parts[1]))] = int(parts[2])
     assert rows[(0.5, 0.5)] == 2
+
+
+def per_cell_csv(a11, a22, delta, n):
+    """The CSV as the per-cell _fmt loop wrote it, from qscan_verdicts."""
+    grid = qscan_verdicts(a11, a22, delta, n)
+    lines = ["q1,q2,stable"]
+    for j in range(1, n + 1):
+        for k in range(1, n + 1):
+            lines.append(f"{_fmt(j / n)},{_fmt(k / n)},{int(grid[j - 1, k - 1])}")
+    return "\n".join(lines) + "\n"
+
+
+REF_QSCAN = (0.00001, 0.1, 0.00001 * 0.1 - 1.0 * -0.0022)
+
+
+def test_qscan_csv_bytes_out(tmp_path, capsys):
+    out_path = tmp_path / "scan.csv"
+    code, _, _ = run_cli(capsys, "qscan", *REF, "--grid", 64, "--out", out_path)
+    assert code == 0
+    assert out_path.read_bytes() == per_cell_csv(*REF_QSCAN, 64).encode()
+
+
+def test_qscan_csv_bytes_stdout(capsys):
+    # 7 is not dyadic, so the q strings carry all 17 digits
+    code, out, _ = run_cli(capsys, "qscan", *REF, "--grid", 7)
+    assert code == 0
+    body = per_cell_csv(*REF_QSCAN, 7)
+    assert "0.14285714285714285," in body
+    assert out.startswith(body)
+    assert out[len(body):].count("\n") == 1  # the record line alone follows
+
+
+def test_qscan_bracket_failure_exit(monkeypatch, capsys):
+    monkeypatch.setattr(curve, "_EXP_ARG_MAX", 2.0)
+    code, _, err = run_cli(capsys, "qscan", "--a11", -1e6, "--a22", 2, "--delta", 1, "--grid", 4)
+    assert code == EXIT_INTERNAL == 70
+    assert "internal error" in err
 
 
 def test_roots_reference(capsys):

@@ -20,6 +20,7 @@ from fracstab import (
     solve_omega_star,
     u_max,
 )
+from fracstab.curve import phi_orders
 
 REF_DELTA = 0.002201
 
@@ -246,3 +247,16 @@ def test_u_max_matches_direct_formula():
             * (q2 - q1) / math.sin((q2 - q1) * math.pi / 2)
         )
         assert u_max(q1, q2) == pytest.approx(direct, rel=1e-12)
+
+
+def test_phi_orders_past_scalar_overflow():
+    # w* = -552 at orders (1, 1/48): the scalar bracket doubles to |w| = 1024,
+    # where math.exp(1024) overflows; np.exp gives inf of the right sign and
+    # the array bisection still lands on the curve point
+    cp = CurveParams(1.0, 1.0, 1.0 / 48)
+    pt = curve_point(cp, -552.0)
+    with pytest.raises(OverflowError):
+        phi(cp, pt.a11)
+    got = phi_orders(cp.delta, pt.a11, cp.q1, cp.q2)
+    assert got.shape == ()
+    assert float(got) == pytest.approx(pt.a22, rel=1e-11)
