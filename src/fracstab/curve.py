@@ -145,8 +145,8 @@ def solve_omega_star(cp: CurveParams, a11: float) -> float:
 
     Commensurate band: the equation is linear in w and solved in closed form.
     Otherwise: bracket by doubling outward from [-1, 1] (capped at
-    |w| <= 700/min(q1, q2) to stay clear of exp overflow), then bisect to
-    1e-13 relative interval width; strict monotonicity of h gives uniqueness.
+    |w| <= 700/min(q1, q2), with +-inf where exp overflows first), then bisect
+    to 1e-13 relative interval width; strict monotonicity of h gives uniqueness.
     The residual is checked against 1e-12 + 1e-10*|a11| plus the local secant
     variation of the final bracket (the attainable bound when h is steep, as
     happens just outside the commensurate band).
@@ -160,7 +160,11 @@ def solve_omega_star(cp: CurveParams, a11: float) -> float:
     scale = cp.delta ** (cp.q1 / (cp.q1 + cp.q2))
 
     def g(w: float) -> float:
-        return scale * h_func(w, cp.q1, cp.q2) - a11
+        try:
+            return scale * h_func(w, cp.q1, cp.q2) - a11
+        except OverflowError:
+            # far out in w the term with sign (q2 - q1)*w dominates h
+            return math.copysign(math.inf, (cp.q2 - cp.q1) * w)
 
     cap = _omega_cap(cp.q1, cp.q2)
     lo, hi = -1.0, 1.0
@@ -214,8 +218,8 @@ def phi_orders(delta: float, a11: float, q1, q2) -> np.ndarray:
     the doubling, stop rules and residual allowance of solve_omega_star, and
     raises BracketFailure if any cell fails. np.exp and math.exp may differ
     in the last bit, so the values match phi to within 1e-11 relative, not
-    bitwise. Where math.exp would overflow and phi raise OverflowError,
-    np.exp gives inf of the right sign and the bisection carries on.
+    bitwise. Where math.exp would overflow, np.exp gives inf of the same
+    sign that solve_omega_star assigns, so both brackets carry on alike.
     """
     if not (math.isfinite(delta) and delta > 0.0):
         raise ValueError(f"delta must be finite and > 0, got {delta!r}")

@@ -4,8 +4,9 @@ Three cross-checking instruments, none of which uses the curve machinery:
 
 * explicit modulus bounds l <= |s| <= L valid for every root with Re s >= 0,
   which make the right half-plane effectively compact;
-* an argument-principle winding count of Delta over the boundary of the
-  bounded half-annulus, with adaptive phase tracking;
+* an argument-principle winding count of Delta around one rectangle in
+  w = log s, the bounded half-annulus, with adaptive phase tracking; the
+  same winding, on halved cells, locates every counted root or raises;
 * for rational orders, reduction to a single-order companion system checked
   against the eigenvalue sector criterion (|Arg lambda| > pi/(2n)).
 """
@@ -41,6 +42,10 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+_HALF_PI = 0.5 * math.pi
+_MAX_DEPTH = 24  # bisections of one contour step
+_REAL_GRID = 200  # log-spaced sign-scan points of positive_real_roots
+_MAX_SPLITS = 100  # cell halvings before close roots count as inseparable
 
 
 @dataclass(frozen=True)
@@ -130,20 +135,84 @@ def unstable_root_bounds(p: CharParams) -> RootBounds:
     return RootBounds(l=l, L=min(L, 1e300), p=p_exp, gamma_const=gamma, d_const=d_const)
 
 
-def _wrap_pi(d: float) -> float:
-    return (d + math.pi) % _TWO_PI - math.pi
+def _exp_w(x: float, y: float) -> complex:
+    # Im w = +-pi/2 is the imaginary axis; sample it exactly on Re s = 0
+    if abs(y) == _HALF_PI:
+        return complex(0.0, math.copysign(math.exp(x), y))
+    return cmath.rect(math.exp(x), y)
 
 
-def count_unstable_roots(p: CharParams, max_depth: int = 24) -> RootCountReport:
+def _winding(
+    p: CharParams, x0: float, x1: float, y0: float, y1: float
+) -> tuple[int, float, int, int]:
+    """Wind Delta(e^w) around the w = log s rectangle [x0, x1] x [y0, y1].
+
+    The rectangle is the annular sector x0 <= log|s| <= x1, y0 <= Arg s <= y1.
+    Its edges run counterclockwise and linearly in w from 32 equal steps
+    each; a step is bisected until the phase of Delta moves by less than
+    pi/2, at most _MAX_DEPTH times, else RefinementLimit, as when the turns
+    are no integer >= 0. |Delta| < 1e-12*(1+delta) at a sample raises
+    ContourThroughRoot. Returns (roots inside, turns, samples, deepest).
+    """
+    thresh = 1e-12 * (1.0 + p.delta)
+    evals = 0
+    deepest = 0
+
+    def phase_at(x: float, y: float) -> float:
+        nonlocal evals
+        evals += 1
+        s = _exp_w(x, y)
+        val = delta_eval(p, s)
+        if abs(val) < thresh:
+            raise ContourThroughRoot(
+                f"|Delta| = {abs(val):.3e} < {thresh:.3e} at contour point {s}"
+            )
+        return cmath.phase(val)
+
+    total = 0.0
+    corners = ((x1, y0), (x1, y1), (x0, y1), (x0, y0), (x1, y0))
+    for (xa, ya), (xb, yb) in zip(corners, corners[1:]):
+        dx, dy = xb - xa, yb - ya
+        ts = [i / 32 for i in range(33)]
+        phs = [phase_at(xa + dx * t, ya + dy * t) for t in ts]
+        stack = [(ts[i], phs[i], ts[i + 1], phs[i + 1], 0) for i in range(32)]
+        while stack:
+            t0, ph0, t1, ph1, depth = stack.pop()
+            d = (ph1 - ph0 + math.pi) % _TWO_PI - math.pi
+            if abs(d) < _HALF_PI:
+                total += d
+                continue
+            if depth + 1 > _MAX_DEPTH:
+                raise RefinementLimit(
+                    f"phase step {d:.3f} rad still >= pi/2 at depth {_MAX_DEPTH}"
+                )
+            deepest = max(deepest, depth + 1)
+            tm = 0.5 * (t0 + t1)
+            phm = phase_at(xa + dx * tm, ya + dy * tm)
+            stack.append((t0, ph0, tm, phm, depth + 1))
+            stack.append((tm, phm, t1, ph1, depth + 1))
+    turns = total / _TWO_PI
+    n = round(turns)
+    if abs(turns - n) > 1e-6 or n < 0:
+        raise RefinementLimit(
+            f"winding {turns!r} did not settle to a nonnegative integer"
+        )
+    return n, turns, evals, deepest
+
+
+def _log_annulus(b: RootBounds) -> tuple[float, float]:
+    # the counted annulus, widened by 1e-3 so no bound root sits on an arc
+    return math.log(b.l * (1.0 - 1e-3)), math.log(b.L * (1.0 + 1e-3))
+
+
+def count_unstable_roots(p: CharParams) -> RootCountReport:
     """Count roots with Re s >= 0 (with multiplicity) by the argument principle.
 
-    The contour is the positively oriented boundary of
-    {Re s >= 0, l*(1-1e-3) <= |s| <= L*(1+1e-3)}: outer arc, imaginary axis
-    down, inner arc, imaginary axis up. The axis segments are parametrized
-    geometrically in |s| because the annulus can span many decades. Each
-    segment is sampled adaptively until consecutive phase steps of Delta stay
-    below pi/2; the accumulated phase must close to an integer number of
-    turns.
+    The contour bounds {Re s >= 0, l*(1-1e-3) <= |s| <= L*(1+1e-3)}, which in
+    w = log s is the rectangle [log(l*(1-1e-3)), log(L*(1+1e-3))] x
+    [-pi/2, pi/2]. Its vertical edges are the arcs, sampled uniformly in
+    Arg s; its horizontal edges are the imaginary axis, sampled
+    geometrically in |s|, so an annulus of many decades stays cheap.
 
     Callers are expected to keep inputs off the critical curve: a curve (or
     near-curve) system puts a root on the imaginary axis and trips
@@ -152,81 +221,8 @@ def count_unstable_roots(p: CharParams, max_depth: int = 24) -> RootCountReport:
     if not p.delta > 0.0:
         raise DeltaNotPositive(f"contour counting requires delta > 0, got {p.delta!r}")
     b = unstable_root_bounds(p)
-    r_in = b.l * (1.0 - 1e-3)
-    r_out = b.L * (1.0 + 1e-3)
-    thresh = 1e-12 * (1.0 + p.delta)
-    log_ratio = math.log(r_out / r_in)
-    half_pi = 0.5 * math.pi
-
-    def outer_arc(t: float) -> complex:
-        theta = -half_pi + math.pi * t
-        return cmath.rect(r_out, theta)
-
-    def axis_down(t: float) -> complex:
-        return complex(0.0, r_out * math.exp(-log_ratio * t))
-
-    def inner_arc(t: float) -> complex:
-        theta = half_pi - math.pi * t
-        return cmath.rect(r_in, theta)
-
-    def axis_up(t: float) -> complex:
-        return complex(0.0, -r_in * math.exp(log_ratio * t))
-
-    evals = 0
-    deepest = 0
-
-    def phase_at(seg, t: float) -> float:
-        nonlocal evals
-        evals += 1
-        val = delta_eval(p, seg(t))
-        if abs(val) < thresh:
-            raise ContourThroughRoot(
-                f"|Delta| = {abs(val):.3e} < {thresh:.3e} at contour point {seg(t)}"
-            )
-        return cmath.phase(val)
-
-    def segment_turns(seg) -> float:
-        nonlocal deepest
-        n0 = 32
-        ts = [i / n0 for i in range(n0 + 1)]
-        phs = [phase_at(seg, t) for t in ts]
-        total = 0.0
-        stack = [
-            (ts[i], phs[i], ts[i + 1], phs[i + 1], 0) for i in range(n0)
-        ]
-        while stack:
-            t0, ph0, t1, ph1, depth = stack.pop()
-            d = _wrap_pi(ph1 - ph0)
-            if abs(d) < half_pi:
-                total += d
-                continue
-            if depth + 1 > max_depth:
-                raise RefinementLimit(
-                    f"phase step {d:.3f} rad still >= pi/2 at depth {max_depth}"
-                )
-            deepest = max(deepest, depth + 1)
-            tm = 0.5 * (t0 + t1)
-            phm = phase_at(seg, tm)
-            stack.append((t0, ph0, tm, phm, depth + 1))
-            stack.append((tm, phm, t1, ph1, depth + 1))
-        return total
-
-    total = 0.0
-    for seg in (outer_arc, axis_down, inner_arc, axis_up):
-        total += segment_turns(seg)
-    turns = total / _TWO_PI
-    n = round(turns)
-    if abs(turns - n) > 1e-6 or n < 0:
-        raise RefinementLimit(
-            f"winding {turns!r} did not settle to a nonnegative integer"
-        )
-    return RootCountReport(
-        n_unstable=n,
-        bounds=b,
-        contour_samples=evals,
-        winding_turns=turns,
-        refinement_depth=deepest,
-    )
+    n, turns, evals, deepest = _winding(p, *_log_annulus(b), -_HALF_PI, _HALF_PI)
+    return RootCountReport(n, b, evals, turns, deepest)
 
 
 def _real_delta(p: CharParams, t: float) -> float:
@@ -238,7 +234,7 @@ def _real_delta(p: CharParams, t: float) -> float:
     )
 
 
-def positive_real_roots(p: CharParams, n_grid: int = 200) -> list[float]:
+def positive_real_roots(p: CharParams) -> list[float]:
     """Locate the positive real roots of Delta by sign scan plus bisection.
 
     Candidate abscissae: 1, a11^(1/q1) and a22^(1/q2) when defined (where the
@@ -258,8 +254,8 @@ def positive_real_roots(p: CharParams, n_grid: int = 200) -> list[float]:
     else:
         lo, hi = 1e-8, 1e8
     log_lo, log_hi = math.log(lo), math.log(hi)
-    for i in range(n_grid + 1):
-        samples.add(math.exp(log_lo + (log_hi - log_lo) * i / n_grid))
+    for i in range(_REAL_GRID + 1):
+        samples.add(math.exp(log_lo + (log_hi - log_lo) * i / _REAL_GRID))
     ts = sorted(samples)
     # left sentinel at t = 0 carries the limit value delta
     ts = [0.0] + ts
@@ -321,80 +317,79 @@ def _residual_scale(p: CharParams, s: complex) -> float:
     )
 
 
+def _newton_in_cell(
+    p: CharParams, x0: float, x1: float, y0: float, y1: float
+) -> complex | None:
+    # Newton on Delta(e^w) from the cell centre; None once an iterate leaves
+    # the cell, so a root it returns is the one the cell's winding counted
+    w = complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))
+    for _ in range(80):
+        s = _exp_w(w.real, w.imag)
+        f = delta_eval(p, s)
+        if abs(f) <= 1e-11 * _residual_scale(p, s):
+            return s
+        df = s * _delta_prime(p, s)
+        if df == 0:
+            return None
+        w -= f / df
+        if not (x0 <= w.real <= x1 and y0 <= w.imag <= y1):
+            return None
+    s = _exp_w(w.real, w.imag)
+    return s if abs(delta_eval(p, s)) <= 1e-9 * _residual_scale(p, s) else None
+
+
 def polish_unstable_roots(
     p: CharParams, expected: int | None = None
 ) -> list[complex]:
-    """Locate the individual roots behind a winding count.
+    """Locate all `expected` roots behind a winding count, or raise.
 
-    Positive real roots come from the bisection scan; complex ones from
-    damped Newton iterations seeded on a log-radius grid across the sector
-    (upper half only, conjugates mirrored afterwards). Roots are accepted
-    when the residual is small relative to the term magnitudes of Delta, then
-    deduplicated. The caller should compare len(result) with the winding
-    count; a mismatch means the polish missed a root (or hit a multiple one)
-    and the result cannot be trusted as a complete list.
+    Positive real roots come from positive_real_roots. The complex pairs lie
+    in the part [t_b, pi/2] of count_unstable_roots' log-plane rectangle,
+    for the first t_b in 1e-3, 1e-6, ... that holds all of them. Cells are
+    halved along their longer side in w, one half recounted and the other
+    given the remainder, until a cell holds one root; Newton on Delta(e^w)
+    from its centre must keep every iterate in the cell and bring the
+    residual to 1e-11 (1e-9 after 80 steps) of the term magnitudes, or the
+    cell is split again. Conjugates are mirrored. Returns exactly `expected`
+    roots sorted by (real, imag), or raises RefinementLimit (or
+    ContourThroughRoot, for a cell edge through a root).
     """
     if expected is None:
         expected = count_unstable_roots(p).n_unstable
     if expected == 0:
         return []
-    b = unstable_root_bounds(p)
-
-    found: list[complex] = [complex(r, 0.0) for r in positive_real_roots(p)]
-
-    def try_newton(s: complex) -> None:
-        for _ in range(80):
-            if not (0.01 * b.l < abs(s) < 100.0 * b.L) or s.real < -0.6 * abs(s):
-                return
-            f = delta_eval(p, s)
-            if abs(f) <= 1e-11 * _residual_scale(p, s):
+    real = positive_real_roots(p)
+    pairs, odd = divmod(expected - len(real), 2)
+    if odd or pairs < 0:
+        raise RefinementLimit(f"{len(real)} positive real roots do not fit a count of {expected}")
+    found = [complex(r, 0.0) for r in real]
+    if pairs:
+        x0, x1 = _log_annulus(unstable_root_bounds(p))
+        for t_b in (1e-3, 1e-6, 1e-9, 1e-12):
+            if _winding(p, x0, x1, t_b, _HALF_PI)[0] == pairs:
                 break
-            df = _delta_prime(p, s)
-            if df == 0:
-                return
-            step = f / df
-            # damp wild steps so iterates stay near the annulus
-            if abs(step) > 0.5 * abs(s):
-                step *= 0.5 * abs(s) / abs(step)
-            s = s - step
         else:
-            return
-        if abs(delta_eval(p, s)) > 1e-9 * _residual_scale(p, s):
-            return
-        if s.real < -1e-12 * abs(s):
-            return
-        if abs(s.imag) <= 1e-9 * max(1.0, abs(s)):
-            s = complex(s.real, 0.0)
-        elif s.imag < 0.0:
-            s = s.conjugate()
-        for r in found:
-            if abs(s - r) <= 1e-6 * (abs(s) + abs(r)):
-                return
-        found.append(s)
-
-    def run_seed_pass(n_radii: int, fracs: tuple[float, ...]) -> None:
-        log_l, log_big = math.log(b.l), math.log(b.L)
-        for i in range(n_radii):
-            radius = math.exp(log_l + (log_big - log_l) * (i + 0.5) / n_radii)
-            for frac in fracs:
-                try_newton(cmath.rect(radius, frac * 0.5 * math.pi))
-
-    decades = max(1.0, math.log10(b.L / b.l))
-    n_radii = int(min(96, max(16, 6 * decades)))
-    run_seed_pass(n_radii, (0.1, 0.3, 0.5, 0.7, 0.9, 0.99))
-
-    def total_count() -> int:
-        return sum(1 if r.imag == 0.0 else 2 for r in found)
-
-    if total_count() != expected:
-        run_seed_pass(2 * n_radii, (0.02, 0.2, 0.4, 0.6, 0.8, 0.95, 0.999))
-
-    full = []
-    for r in found:
-        full.append(r)
-        if r.imag != 0.0:
-            full.append(r.conjugate())
-    return sorted(full, key=lambda s: (s.real, s.imag))
+            raise RefinementLimit(f"no upper half-annulus held the {pairs} complex pairs")
+        stack = [(x0, x1, t_b, _HALF_PI, pairs, 0)]
+        while stack:
+            x0, x1, y0, y1, n, splits = stack.pop()
+            if n == 1:
+                s = _newton_in_cell(p, x0, x1, y0, y1)
+                if s is not None:
+                    found += (s, s.conjugate())
+                    continue
+            if splits == _MAX_SPLITS:
+                raise RefinementLimit(f"{n} roots not separated after {_MAX_SPLITS} cell splits")
+            xm, ym = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+            if x1 - x0 >= y1 - y0:
+                halves = ((x0, xm, y0, y1), (xm, x1, y0, y1))
+            else:
+                halves = ((x0, x1, y0, ym), (x0, x1, ym, y1))
+            k = _winding(p, *halves[0])[0]
+            if k > n:
+                raise RefinementLimit(f"a half cell counts {k} of its parent's {n} roots")
+            stack += [(*cell, m, splits + 1) for cell, m in zip(halves, (k, n - k)) if m]
+    return sorted(found, key=lambda s: (s.real, s.imag))
 
 
 @dataclass(frozen=True, eq=False)

@@ -81,6 +81,13 @@ def test_exit_code_table(capsys):
                          "--q1", "0.5", "--q2", "0.5"]),
         (EXIT_UNSTABLE, ["classify", "--a11", 0, "--a12", 1, "--a21", 1, "--a22", 0,
                          "--q1", "0.5", "--q2", "0.5"]),
+        # w* lies where math.exp overflows before the bracket cap
+        (EXIT_UNSTABLE, ["classify", "--a11", "1e5", "--a12", 1, "--a21=-10000000001",
+                         "--a22=-1e5", "--q1", 1, "--q2", "0.02083333333333333"]),
+        # L/l overflows a double: the annulus spans 321 decades
+        (EXIT_UNSTABLE, ["roots", "--a11", "8.92834118192419", "--a22=-17.015811483806015",
+                         "--delta", "0.02077113118824527", "--q1", "0.017264614514767507",
+                         "--q2", "0.18764018043319272"]),
         (EXIT_MARGINAL, ["classify", "--a11", SQRT2, "--a12", 1, "--a21", -2,
                          "--a22", SQRT2, "--q1", "0.5", "--q2", "0.5"]),
         (EXIT_MARGINAL, ["classify", "--a11", 1, "--a12", 1, "--a21", 1, "--a22", 1,

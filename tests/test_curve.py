@@ -250,13 +250,15 @@ def test_u_max_matches_direct_formula():
 
 
 def test_phi_orders_past_scalar_overflow():
-    # w* = -552 at orders (1, 1/48): the scalar bracket doubles to |w| = 1024,
-    # where math.exp(1024) overflows; np.exp gives inf of the right sign and
-    # the array bisection still lands on the curve point
+    # w* = -552 at orders (1, 1/48): the bracket doubles to |w| = 1024, where
+    # math.exp(1024) overflows; the scalar g takes +-inf there as np.exp does,
+    # and both bisections still land on the curve point
     cp = CurveParams(1.0, 1.0, 1.0 / 48)
     pt = curve_point(cp, -552.0)
-    with pytest.raises(OverflowError):
-        phi(cp, pt.a11)
     got = phi_orders(cp.delta, pt.a11, cp.q1, cp.q2)
     assert got.shape == ()
     assert float(got) == pytest.approx(pt.a22, rel=1e-11)
+    assert phi(cp, pt.a11) == pytest.approx(float(got), rel=1e-11)
+    big = phi(cp, 1e5)
+    assert big == pytest.approx(-3.19057853584458e238, rel=1e-11)
+    assert big == pytest.approx(float(phi_orders(cp.delta, 1e5, cp.q1, cp.q2)), rel=1e-11)

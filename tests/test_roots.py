@@ -89,9 +89,25 @@ def test_count_reference_cases():
     assert rep_a.n_unstable == 0
     for rep in (rep_u, rep_s, rep_a):
         assert abs(rep.winding_turns - rep.n_unstable) <= 1e-6
-        assert rep.contour_samples >= 4 * 33
-        assert 0 <= rep.refinement_depth <= 24
         assert rep.bounds.l <= rep.bounds.L
+    # 33 samples per edge and no bisection anywhere
+    got = [(r.n_unstable, r.contour_samples, r.refinement_depth) for r in (rep_u, rep_s, rep_a)]
+    assert got == [(2, 132, 0), (0, 132, 0), (0, 132, 0)]
+
+
+@pytest.mark.parametrize("p, n, kind", [
+    (CharParams(8.92834118192419, -17.015811483806015, 0.02077113118824527,
+                0.017264614514767507, 0.18764018043319272), 2, VerdictKind.UnstableForOrders),
+    (CharParams(0.3052908996735084, -11.695613768263255, 0.0020455070760073035,
+                0.015299110903106011, 0.24549091881981236), 0, VerdictKind.StableForOrders),
+])
+def test_count_wide_annulus(p, n, kind):
+    # L/l overflows a double here; edges linear in log s never form that ratio
+    b = unstable_root_bounds(p)
+    assert b.L / b.l == math.inf
+    assert count_unstable_roots(p).n_unstable == n
+    s = SystemSpec(p.a11, 1.0, p.a11 * p.a22 - p.delta, p.a22, p.q1, p.q2)
+    assert classify(s).kind == kind
 
 
 def test_count_detects_root_on_contour():
@@ -210,6 +226,40 @@ def test_polish_containment_random():
             scale = 1.0 + delta + abs(r) ** (q1 + q2) + abs(a11) * abs(r) ** q2 + abs(a22) * abs(r) ** q1
             assert abs(delta_eval(p, r)) <= 1e-8 * scale
     assert nroots >= 40
+
+
+def test_polish_matches_companion_eigenvalues():
+    # independent oracle: for q = (k1/n, k2/n) the unstable roots are lambda^n
+    # for the companion eigenvalues lambda with |arg lambda| < pi/(2n)
+    rng = np.random.default_rng(29)
+    nsys = nroots = 0
+    while nsys < 40:
+        n = int(rng.integers(1, 9))
+        k1, k2 = (int(k) for k in rng.integers(1, n + 1, size=2))
+        delta = rng.uniform(0.2, 6.0)
+        a11, a22 = rng.uniform(-4.0, 4.0, size=2)
+        s = SystemSpec(a11, 1.0, a11 * a22 - delta, a22, k1 / n, k2 / n)
+        lam = np.linalg.eigvals(commensurate_reduce(s, (n, n)).matrix)
+        gap = np.abs(np.abs(np.angle(lam)) - math.pi / (2 * n))
+        if gap.min() < 1e-6:
+            continue  # a root on the imaginary axis is not counted
+        nsys += 1
+        want = list(lam[np.abs(np.angle(lam)) < math.pi / (2 * n)] ** n)
+        got = polish_unstable_roots(s.char_params())
+        assert len(got) == len(want)
+        for r in got:
+            j = int(np.argmin([abs(r - w) for w in want]))
+            assert abs(r - want.pop(j)) <= 1e-6 * abs(r)
+        nroots += len(got)
+    assert nroots >= 20
+
+
+def test_polish_rejects_wrong_count():
+    for p in (REF_P_UNSTABLE, CharParams(0.3, 0.3, 1.0, 1.0, 1.0), CharParams(2.0, 1.0, 3.0, 0.3, 0.7)):
+        n = count_unstable_roots(p).n_unstable
+        assert len(polish_unstable_roots(p, n)) == n
+        with pytest.raises(RefinementLimit):
+            polish_unstable_roots(p, n + 2)
 
 
 def test_companion_reference_matrix():
