@@ -44,6 +44,7 @@ from .curve import (
     u_max,
 )
 from .errors import (
+    AnnulusOutOfRange,
     BracketFailure,
     CommensurateOrders,
     ContourThroughRoot,
@@ -128,6 +129,7 @@ __all__ = [
     "DeltaZeroUnclassified",
     "DomainError",
     "ContourThroughRoot",
+    "AnnulusOutOfRange",
     "RefinementLimit",
     "NotRational",
     "DimensionCap",

@@ -14,7 +14,8 @@ roots and are reported as marginal, never silently resolved.
 
 The (q1, q2) rasters of qscan and qscan_verdicts run the region test once per
 system, because its verdict does not depend on the orders, and otherwise find
-omega* for every cell at once by one array bisection (curve.phi_orders).
+omega* for every cell at once by the Newton iteration that the scalar phi
+runs, applied to arrays (curve.phi_orders).
 """
 
 from __future__ import annotations

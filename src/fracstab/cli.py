@@ -21,6 +21,7 @@ from .chareq import CharParams, SystemSpec
 from .classify import VerdictKind, classify, qscan_verdicts
 from .curve import CurveParams, sample_curve
 from .errors import (
+    AnnulusOutOfRange,
     BracketFailure,
     ContourThroughRoot,
     DeltaNotPositive,
@@ -325,7 +326,7 @@ def main(argv=None) -> int:
     except (DeltaNotPositive, DomainError) as exc:
         _err(f"data error: {exc}")
         return EXIT_DATA
-    except (DeltaZeroUnclassified, ContourThroughRoot) as exc:
+    except (DeltaZeroUnclassified, ContourThroughRoot, AnnulusOutOfRange) as exc:
         _err(f"unclassified: {exc}")
         return EXIT_MARGINAL
     except StepCap as exc:

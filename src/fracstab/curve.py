@@ -18,8 +18,9 @@ order-dependent stability test.
 
 h is strictly monotone in w: increasing for q1 < q2 and decreasing for q1 > q2
 (rho1, rho2 share the sign of q2 - q1, so both terms of dh/dw carry it), which
-makes a11(w) strictly monotone and the inversion a bisection problem. The
-commensurate h is decreasing by construction.
+makes a11(w) strictly monotone and w* unique. One bracket-free Newton
+iteration on the logarithm of a11(w) = a11 finds it, for one order pair or
+for arrays of them. The commensurate h is decreasing by construction.
 """
 
 from __future__ import annotations
@@ -52,12 +53,14 @@ __all__ = [
 # across the switch.
 EPS_COMM = 1e-8
 
-# Bisection tolerances for solve_omega_star and phi_orders.
-_OMEGA_REL_WIDTH = 1e-13
-_RESID_ABS = 1e-12
+_HALF_PI = 0.5 * math.pi
+# Newton for omega* (_omega_star): stop on a step below _STEP_REL*max(1, |u|)
+# or a residual within _FLOOR_ULPS of the magnitudes it is computed from; fail
+# past _NEWTON_MAX steps or a final residual above _RESID_REL.
+_STEP_REL = 1e-13
+_FLOOR_ULPS = 4.0 * np.finfo(float).eps
+_NEWTON_MAX = 50
 _RESID_REL = 1e-10
-# The bracket stays within |q*w| <= _EXP_ARG_MAX for the smaller order q.
-_EXP_ARG_MAX = 700.0
 
 
 @dataclass(frozen=True)
@@ -135,76 +138,91 @@ def curve_point(cp: CurveParams, omega: float) -> CurvePoint:
     return CurvePoint(omega, a11, a22)
 
 
-def _omega_cap(q1: float, q2: float) -> float:
-    # exp(q*w) overflows past ~709/q in double precision
-    return _EXP_ARG_MAX / min(q1, q2)
+def _omega_star(delta: float, a11: float, q1, q2):
+    """(w*, phi(a11)) off the commensurate band; q1 and q2 floats or arrays.
+
+    With a, b = min, max(q1, q2), v = sign(q2 - q1)*w, d = |sin((q2-q1)*pi/2)|
+    and S = delta^(q1/(q1+q2)), for either order of q1 and q2
+
+        S*h(w) = P*exp(a*v) - N*exp(-b*v),  P = S*sin(b*pi/2)/d,  N = S*sin(a*pi/2)/d.
+
+    Moving the term of the other sign to a11's side and taking logs turns
+    S*h(w) = a11 into
+
+        K(u) = alpha*u - logaddexp(log(|a11|/A), log(B/A) - beta*u) = 0,
+
+    (A, alpha, B, beta, u) = (P, a, N, b, v) for a11 >= 0, (N, b, P, a, -v)
+    otherwise. K is increasing and concave from -inf to +inf, so Newton from
+    u = 0 needs no bracket: after the first step the iterates lie left of the
+    root and rise to it (Fourier's condition). logaddexp cannot overflow, and
+    S and d cancel from B/A, so large logarithms enter only with a11's weight.
+    The same ufunc body runs on floats and arrays. Newton stops on a step
+    below 1e-13*max(1, |u|) or a |K| at its rounding floor; more than
+    _NEWTON_MAX steps, or a final |K| (a relative residual) above 1e-10,
+    raises BracketFailure. phi = delta^(q2/(q1+q2))*h(-w*) is +-inf where it
+    leaves double range.
+    """
+    if not math.isfinite(a11):
+        raise ValueError(f"a11 must be finite, got {a11!r}")
+    a, b = np.minimum(q1, q2), np.maximum(q1, q2)
+    d = abs(np.sin((q2 - q1) * _HALF_PI))
+    p, n = np.sin(b * _HALF_PI) / d, np.sin(a * _HALF_PI) / d  # P/S, N/S
+    log_c = math.log(abs(a11)) if a11 else -math.inf
+    log_c = log_c - q1 / (q1 + q2) * math.log(delta)  # log(|a11|/S)
+    if a11 >= 0.0:
+        alpha, beta, sign, log_ca = a, b, 1.0, log_c - np.log(p)
+    else:
+        alpha, beta, sign, log_ca = b, a, -1.0, log_c - np.log(n)
+    log_ba = sign * np.log(n / p)
+    u = 0.0 * a  # zero, shaped like the orders
+    step = math.inf
+    done = False
+    for _ in range(_NEWTON_MAX + 1):
+        lae = np.logaddexp(log_ca, log_ba - beta * u)
+        k = alpha * u - lae
+        floor = _FLOOR_ULPS * (abs(alpha * u) + abs(lae))
+        short = (abs(step) <= _STEP_REL) | (abs(step) <= _STEP_REL * abs(u))
+        done = done | short | (abs(k) <= floor)
+        if done.all():
+            break
+        step = k / (alpha + beta * np.exp(log_ba - beta * u - lae))
+        u = u - step
+    else:
+        raise BracketFailure(f"Newton for omega* did not settle in {_NEWTON_MAX} steps")
+    if (abs(k) > _RESID_REL).any():
+        raise BracketFailure(
+            f"omega* log residual {np.max(abs(k)):.3e} exceeds {_RESID_REL:g}"
+        )
+    v = sign * u
+    with np.errstate(over="ignore"):
+        phi_val = delta ** (q2 / (q1 + q2)) * (p * np.exp(-a * v) - n * np.exp(b * v))
+    return np.sign(q2 - q1) * v, phi_val
 
 
 def solve_omega_star(cp: CurveParams, a11: float) -> float:
     """Invert a11(w) = delta^(q1/(q1+q2)) * h(w): the unique w* hitting a11.
 
     Commensurate band: the equation is linear in w and solved in closed form.
-    Otherwise: bracket by doubling outward from [-1, 1] (capped at
-    |w| <= 700/min(q1, q2), with +-inf where exp overflows first), then bisect
-    to 1e-13 relative interval width; strict monotonicity of h gives uniqueness.
-    The residual is checked against 1e-12 + 1e-10*|a11| plus the local secant
-    variation of the final bracket (the attainable bound when h is steep, as
-    happens just outside the commensurate band).
+    Otherwise _omega_star runs bracket-free Newton on the logarithm of the
+    equation; strict monotonicity of h gives uniqueness.
     """
     if not math.isfinite(a11):
         raise ValueError(f"a11 must be finite, got {a11!r}")
     if cp.commensurate:
         q = 0.5 * (cp.q1 + cp.q2)
         return math.cos(q * math.pi / 2.0) - a11 / math.sqrt(cp.delta)
-
-    scale = cp.delta ** (cp.q1 / (cp.q1 + cp.q2))
-
-    def g(w: float) -> float:
-        try:
-            return scale * h_func(w, cp.q1, cp.q2) - a11
-        except OverflowError:
-            # far out in w the term with sign (q2 - q1)*w dominates h
-            return math.copysign(math.inf, (cp.q2 - cp.q1) * w)
-
-    cap = _omega_cap(cp.q1, cp.q2)
-    lo, hi = -1.0, 1.0
-    glo, ghi = g(lo), g(hi)
-    while glo * ghi > 0.0:
-        if lo <= -cap and hi >= cap:
-            raise BracketFailure(
-                f"no sign change of a11(w) - a11 within |w| <= {cap:g}"
-            )
-        lo = max(2.0 * lo, -cap)
-        hi = min(2.0 * hi, cap)
-        glo, ghi = g(lo), g(hi)
-
-    while hi - lo > _OMEGA_REL_WIDTH * max(1.0, abs(lo), abs(hi)):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        gmid = g(mid)
-        if gmid == 0.0:
-            return mid
-        if glo * gmid < 0.0:
-            hi, ghi = mid, gmid
-        else:
-            lo, glo = mid, gmid
-
-    w = 0.5 * (lo + hi)
-    allowance = _RESID_ABS + _RESID_REL * abs(a11) + abs(ghi - glo)
-    if abs(g(w)) > allowance:
-        raise BracketFailure(
-            f"bisection residual {abs(g(w)):.3e} exceeds allowance {allowance:.3e}"
-        )
-    return w
+    return float(_omega_star(cp.delta, a11, cp.q1, cp.q2)[0])
 
 
 def phi(cp: CurveParams, a11: float) -> float:
     """The boundary function phi(a11) = delta^(q2/(q1+q2)) * h(-w*, q1, q2).
 
     As a function of a11 it is a decreasing, concave bijection of the real
-    line; a22 < phi(a11) is the order-dependent stability condition.
+    line; a22 < phi(a11) is the order-dependent stability condition. A phi
+    beyond double range is returned as +-inf.
     """
+    if not cp.commensurate:
+        return float(_omega_star(cp.delta, a11, cp.q1, cp.q2)[1])
     w_star = solve_omega_star(cp, a11)
     e2 = cp.q2 / (cp.q1 + cp.q2)
     return cp.delta**e2 * h_func(-w_star, cp.q1, cp.q2)
@@ -214,17 +232,12 @@ def phi_orders(delta: float, a11: float, q1, q2) -> np.ndarray:
     """phi(CurveParams(delta, q1, q2), a11) for every order pair of two arrays.
 
     q1 and q2 broadcast against each other. Commensurate pairs go through phi
-    itself; all others share one array bisection that keeps, cell by cell,
-    the doubling, stop rules and residual allowance of solve_omega_star, and
-    raises BracketFailure if any cell fails. np.exp and math.exp may differ
-    in the last bit, so the values match phi to within 1e-11 relative, not
-    bitwise. Where math.exp would overflow, np.exp gives inf of the same
-    sign that solve_omega_star assigns, so both brackets carry on alike.
+    itself; all others go through the Newton iteration of _omega_star at
+    once, which raises BracketFailure if any cell fails. The scalar phi runs
+    the same iteration, so values agree to rounding, not always bitwise.
     """
     if not (math.isfinite(delta) and delta > 0.0):
         raise ValueError(f"delta must be finite and > 0, got {delta!r}")
-    if not math.isfinite(a11):
-        raise ValueError(f"a11 must be finite, got {a11!r}")
     q1, q2 = np.broadcast_arrays(np.asarray(q1, dtype=float), np.asarray(q2, dtype=float))
     if not np.all((q1 > 0.0) & (q1 <= 1.0) & (q2 > 0.0) & (q2 <= 1.0)):
         raise ValueError("orders must lie in (0, 1]")
@@ -232,59 +245,7 @@ def phi_orders(delta: float, a11: float, q1, q2) -> np.ndarray:
     comm = np.abs(q1 - q2) <= EPS_COMM
     for i in map(tuple, np.argwhere(comm)):
         out[i] = phi(CurveParams(delta, float(q1[i]), float(q2[i])), a11)
-    p1, p2 = q1[~comm], q2[~comm]
-    den = np.sin((p2 - p1) * math.pi / 2.0)
-    r1 = np.sin(p1 * math.pi / 2.0) / den
-    r2 = np.sin(p2 * math.pi / 2.0) / den
-    scale = delta ** (p1 / (p1 + p2))
-
-    def h(w):
-        return r2 * np.exp(p1 * w) - r1 * np.exp(-p2 * w)
-
-    def g(w):
-        return scale * h(w) - a11
-
-    with np.errstate(over="ignore"):
-        cap = _EXP_ARG_MAX / np.minimum(p1, p2)
-        lo = np.full(p1.shape, -1.0)
-        hi = np.full(p1.shape, 1.0)
-        glo, ghi = g(lo), g(hi)
-        need = glo * ghi > 0.0
-        while need.any():
-            stuck = need & (lo <= -cap) & (hi >= cap)
-            if stuck.any():
-                raise BracketFailure(
-                    f"no sign change of a11(w) - a11 within |w| <= {cap[stuck][0]:g}"
-                )
-            lo = np.where(need, np.maximum(2.0 * lo, -cap), lo)
-            hi = np.where(need, np.minimum(2.0 * hi, cap), hi)
-            glo, ghi = g(lo), g(hi)
-            need = glo * ghi > 0.0
-
-        while True:
-            mid = 0.5 * (lo + hi)
-            width = _OMEGA_REL_WIDTH * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
-            active = (hi - lo > width) & (mid > lo) & (mid < hi)
-            if not active.any():
-                break
-            gmid = g(mid)
-            left = glo * gmid < 0.0
-            # a zero of g at mid closes the bracket onto mid
-            to_hi = active & (left | (gmid == 0.0))
-            to_lo = active & ~left
-            hi, ghi = np.where(to_hi, mid, hi), np.where(to_hi, gmid, ghi)
-            lo, glo = np.where(to_lo, mid, lo), np.where(to_lo, gmid, glo)
-
-        w = 0.5 * (lo + hi)
-        resid = np.abs(g(w))
-        allowance = _RESID_ABS + _RESID_REL * abs(a11) + np.abs(ghi - glo)
-        bad = resid > allowance
-        if bad.any():
-            raise BracketFailure(
-                f"bisection residual {resid[bad][0]:.3e} exceeds allowance "
-                f"{allowance[bad][0]:.3e}"
-            )
-        out[~comm] = delta ** (p2 / (p1 + p2)) * h(-w)
+    out[~comm] = _omega_star(delta, a11, q1[~comm], q2[~comm])[1]
     return out
 
 

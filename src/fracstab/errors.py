@@ -14,7 +14,7 @@ class CommensurateOrders(FracstabError):
 
 
 class BracketFailure(FracstabError):
-    """The monotone bracket expansion hit the overflow guard without a sign change."""
+    """Newton for omega* did not settle within its step cap or left a residual above 1e-10."""
 
 
 class DeltaNotPositive(FracstabError):
@@ -31,6 +31,10 @@ class DomainError(FracstabError):
 
 class ContourThroughRoot(FracstabError):
     """|Delta| dropped below tolerance on the counting contour (on- or near-curve input)."""
+
+
+class AnnulusOutOfRange(FracstabError):
+    """The root annulus [l, L] leaves [1e-300, 1e300], so no contour in doubles can bound it."""
 
 
 class RefinementLimit(FracstabError):

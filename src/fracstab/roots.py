@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chareq import CharParams, SystemSpec, delta_eval, principal_power
 from .errors import (
+    AnnulusOutOfRange,
     ContourThroughRoot,
     DeltaNotPositive,
     DimensionCap,
@@ -46,6 +48,9 @@ _HALF_PI = 0.5 * math.pi
 _MAX_DEPTH = 24  # bisections of one contour step
 _REAL_GRID = 200  # log-spaced sign-scan points of positive_real_roots
 _MAX_SPLITS = 100  # cell halvings before close roots count as inseparable
+# l and L must lie in [1e-300, 1e300], so the contour radii stay doubles
+_LOG_ANNULUS_MIN, _LOG_ANNULUS_MAX = math.log(1e-300), math.log(1e300)
+_LOG_DBL_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -100,39 +105,48 @@ def unstable_root_bounds(p: CharParams) -> RootBounds:
     z^2 - (a11+a22)z + delta in z = s^q is bounded directly:
     |z| <= ||a||_1 + sqrt(delta) + 1 and |z| >= delta / (||a||_1 + sqrt(delta) + 1),
     then mapped through |s| = |z|^(1/q).
+
+    Both cases work with log l and log L, since u and the powers overflow
+    long before the bounds do; AnnulusOutOfRange is raised when l or L falls
+    outside [1e-300, 1e300].
     """
     if not p.delta > 0.0:
         raise DeltaNotPositive(f"root bounds require delta > 0, got {p.delta!r}")
+    log_delta = math.log(p.delta)
     if p.q1 == p.q2:
         q = p.q1
-        big = abs(p.a11) + abs(p.a22) + math.sqrt(p.delta) + 1.0
-        small = p.delta / big
-        return RootBounds(
-            l=small ** (1.0 / q),
-            L=big ** (1.0 / q),
-            p=1.0,
-            gamma_const=math.nan,
-            d_const=math.nan,
-        )
+        log_big = math.log(abs(p.a11) + abs(p.a22) + math.sqrt(p.delta) + 1.0)
+        l, L = _annulus((log_delta - log_big) / q, log_big / q)
+        return RootBounds(l=l, L=L, p=1.0, gamma_const=math.nan, d_const=math.nan)
     m = min(p.q1, p.q2)
     alpha = 0.5 * (p.q1 + p.q2)
     p_exp = alpha / m
     q_conj = (p.q1 + p.q2) / abs(p.q1 - p.q2)
     gamma = (q_conj + 1.0) / (q_conj - 1.0)
-    d_const = max(p.delta ** (-p.q1 / (2.0 * m)), p.delta ** (-p.q2 / (2.0 * m)))
-    u = d_const * (abs(p.a11) ** p_exp + abs(p.a22) ** p_exp)
-    # log-space throughout: u can overflow any polynomial expression long
-    # before the final bounds leave the representable range
-    if u > 1e8:
-        log_f = -math.log(u)
+    log_d = max(-p.q1 * log_delta, -p.q2 * log_delta) / (2.0 * m)
+    # log u, with |a11|^p_exp + |a22|^p_exp taken by its larger term
+    lo, hi = sorted((abs(p.a11), abs(p.a22)))
+    log_u = -math.inf
+    if hi > 0.0:
+        log_u = log_d + p_exp * math.log(hi) + math.log1p((lo / hi) ** p_exp)
+    if log_u > math.log(1e8):
+        log_f = -log_u
+        log_F = log_u + math.log1p(math.sqrt(gamma) * math.exp(-log_u))
     else:
+        u = math.exp(log_u)
         log_f = math.log(2.0 / (u + math.sqrt(u * u + 4.0 * gamma)))
-    log_sqrt_delta = 0.5 * math.log(p.delta)
-    l = math.exp((log_sqrt_delta + log_f) / alpha)
-    L = math.exp((log_sqrt_delta + math.log(u + math.sqrt(gamma))) / alpha)
-    # keep the contour radii representable even in pathological corners
-    l = max(l, 1e-300)
-    return RootBounds(l=l, L=min(L, 1e300), p=p_exp, gamma_const=gamma, d_const=d_const)
+        log_F = math.log(u + math.sqrt(gamma))
+    l, L = _annulus((0.5 * log_delta + log_f) / alpha, (0.5 * log_delta + log_F) / alpha)
+    d_const = math.exp(log_d) if log_d < _LOG_DBL_MAX else math.inf
+    return RootBounds(l=l, L=L, p=p_exp, gamma_const=gamma, d_const=d_const)
+
+
+def _annulus(log_l: float, log_L: float) -> tuple[float, float]:
+    if not (_LOG_ANNULUS_MIN <= log_l and log_L <= _LOG_ANNULUS_MAX):
+        raise AnnulusOutOfRange(
+            f"root annulus [exp({log_l:.6g}), exp({log_L:.6g})] leaves [1e-300, 1e300]"
+        )
+    return math.exp(log_l), math.exp(log_L)
 
 
 def _exp_w(x: float, y: float) -> complex:

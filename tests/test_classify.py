@@ -223,7 +223,7 @@ def test_qscan_matches_per_cell_loop(grid_n, n_systems):
         (0.5, 0.5, 0.2, 5),  # R_u, product branch
         (REF_A["a11"], REF_A["a22"], REF_DELTA, 64),
         (math.sqrt(4.0) * math.cos(math.pi / 4), math.sqrt(4.0) * math.cos(math.pi / 4), 4.0, 2),
-        # |w*| reaches 221, so the bracket doubles from [-1, 1] up to [-256, 256]
+        # |w*| reaches 221, far from the Newton start at 0
         (-1e6, 2.0, 1.0, 32),
     ],
 )
@@ -232,9 +232,9 @@ def test_qscan_matches_per_cell_loop_special(a11, a22, delta, grid_n):
 
 
 def test_qscan_bracket_failure(monkeypatch):
-    # a bracket cap of 2/min(q) leaves a11 = -1e6 out of reach in every
+    # one Newton step cannot settle omega* for a11 = -1e6 in any
     # incommensurate cell, for the scalar phi and the raster alike
-    monkeypatch.setattr(curve, "_EXP_ARG_MAX", 2.0)
+    monkeypatch.setattr(curve, "_NEWTON_MAX", 1)
     with pytest.raises(BracketFailure):
         per_cell_qscan(-1e6, 2.0, 1.0, 4)
     with pytest.raises(BracketFailure):

@@ -81,13 +81,22 @@ def test_exit_code_table(capsys):
                          "--q1", "0.5", "--q2", "0.5"]),
         (EXIT_UNSTABLE, ["classify", "--a11", 0, "--a12", 1, "--a21", 1, "--a22", 0,
                          "--q1", "0.5", "--q2", "0.5"]),
-        # w* lies where math.exp overflows before the bracket cap
+        # w* = -552 at orders (1, 1/48), where exp(-q2*w) nears overflow
         (EXIT_UNSTABLE, ["classify", "--a11", "1e5", "--a12", 1, "--a21=-10000000001",
                          "--a22=-1e5", "--q1", 1, "--q2", "0.02083333333333333"]),
+        # phi(1e7) leaves double range: -inf, so the margin is +inf
+        (EXIT_UNSTABLE, ["classify", "--a11", "1e7", "--a12", 1, "--a21=-100000000000001",
+                         "--a22=-1e7", "--q1", 1, "--q2", "0.020833333333333332"]),
         # L/l overflows a double: the annulus spans 321 decades
         (EXIT_UNSTABLE, ["roots", "--a11", "8.92834118192419", "--a22=-17.015811483806015",
                          "--delta", "0.02077113118824527", "--q1", "0.017264614514767507",
                          "--q2", "0.18764018043319272"]),
+        # the root annulus leaves [1e-300, 1e300]: l = 1e-331.6, then 1e-303.6
+        (EXIT_MARGINAL, ["roots", "--a11=-5.2759", "--a22", "2.4339", "--delta", "1.2994e-3",
+                         "--q1", "0.010882", "--q2", "0.55290"]),
+        (EXIT_MARGINAL, ["roots", "--a11=-11.640755224148691", "--a22", "33.9244766331865",
+                         "--delta", "0.010662504021753762", "--q1", "0.011535429321214173",
+                         "--q2", "0.513678314337231"]),
         (EXIT_MARGINAL, ["classify", "--a11", SQRT2, "--a12", 1, "--a21", -2,
                          "--a22", SQRT2, "--q1", "0.5", "--q2", "0.5"]),
         (EXIT_MARGINAL, ["classify", "--a11", 1, "--a12", 1, "--a21", 1, "--a22", 1,
@@ -266,7 +275,7 @@ def test_qscan_csv_bytes_stdout(capsys):
 
 
 def test_qscan_bracket_failure_exit(monkeypatch, capsys):
-    monkeypatch.setattr(curve, "_EXP_ARG_MAX", 2.0)
+    monkeypatch.setattr(curve, "_NEWTON_MAX", 1)
     code, _, err = run_cli(capsys, "qscan", "--a11", -1e6, "--a22", 2, "--delta", 1, "--grid", 4)
     assert code == EXIT_INTERNAL == 70
     assert "internal error" in err

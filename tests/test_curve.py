@@ -250,9 +250,8 @@ def test_u_max_matches_direct_formula():
 
 
 def test_phi_orders_past_scalar_overflow():
-    # w* = -552 at orders (1, 1/48): the bracket doubles to |w| = 1024, where
-    # math.exp(1024) overflows; the scalar g takes +-inf there as np.exp does,
-    # and both bisections still land on the curve point
+    # w* = -552 at orders (1, 1/48), where math.exp(-q2*w) is near overflow;
+    # the scalar phi and the raster both land on the curve point
     cp = CurveParams(1.0, 1.0, 1.0 / 48)
     pt = curve_point(cp, -552.0)
     got = phi_orders(cp.delta, pt.a11, cp.q1, cp.q2)
@@ -262,3 +261,46 @@ def test_phi_orders_past_scalar_overflow():
     big = phi(cp, 1e5)
     assert big == pytest.approx(-3.19057853584458e238, rel=1e-11)
     assert big == pytest.approx(float(phi_orders(cp.delta, 1e5, cp.q1, cp.q2)), rel=1e-11)
+
+
+def test_phi_past_double_range():
+    # phi(1e7) is about -e^(1e4): -inf on both paths, not OverflowError
+    cp = CurveParams(1.0, 1.0, 1.0 / 48)
+    assert phi(cp, 1e7) == -math.inf
+    assert float(phi_orders(cp.delta, 1e7, cp.q1, cp.q2)) == -math.inf
+
+
+def test_omega_star_near_band_settles():
+    # just outside the commensurate band the step rule alone cycles at 1.4e-13
+    # of |w|; the residual's rounding floor ends the iteration. The value is
+    # a 50-digit mpmath root of the curve equation.
+    cp = CurveParams(88378715.01227283, 0.0129472878796884, 0.012952545371486105)
+    w = solve_omega_star(cp, 0.00028074676134855144)
+    assert w == pytest.approx(-0.015673094396100526965, rel=1e-12, abs=0.0)
+
+
+def test_phi_matches_mpmath():
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    half_pi = mp.pi / 2
+    rng = np.random.default_rng(23)
+    checked = 0
+    while checked < 100:
+        delta = float(10.0 ** rng.uniform(-3.0, 3.0))
+        a11 = float(rng.uniform(-20.0, 20.0))
+        q1, q2 = (float(q) for q in rng.uniform(0.01, 1.0, 2))
+        if abs(q1 - q2) < 0.05:
+            continue
+        checked += 1
+        cp = CurveParams(delta, q1, q2)
+        w, got = solve_omega_star(cp, a11), phi(cp, a11)
+        d, x1, x2 = (mp.mpf(v) for v in (delta, q1, q2))
+        den = mp.sin((x2 - x1) * half_pi)
+        r1, r2 = mp.sin(x1 * half_pi) / den, mp.sin(x2 * half_pi) / den
+        s, t = d ** (x1 / (x1 + x2)), d ** (x2 / (x1 + x2))
+        w_mp = mp.findroot(lambda v: s * (r2 * mp.exp(x1 * v) - r1 * mp.exp(-x2 * v)) - a11, w)
+        terms = (t * r2 * mp.exp(-x1 * w_mp), t * r1 * mp.exp(x2 * w_mp))
+        assert abs(w - w_mp) <= 1e-13 * max(1.0, abs(w_mp))
+        # phi is a difference of two terms; near phi = 0 no double formula
+        # does better than the rounding of the larger one
+        assert abs(got - (terms[0] - terms[1])) <= 1e-13 * max(abs(terms[0]), abs(terms[1]))

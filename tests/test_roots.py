@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fracstab import (
+    AnnulusOutOfRange,
     CharParams,
     ContourThroughRoot,
     CurveParams,
@@ -93,6 +94,30 @@ def test_count_reference_cases():
     # 33 samples per edge and no bisection anywhere
     got = [(r.n_unstable, r.contour_samples, r.refinement_depth) for r in (rep_u, rep_s, rep_a)]
     assert got == [(2, 132, 0), (0, 132, 0), (0, 132, 0)]
+
+
+@pytest.mark.parametrize("p", [
+    # l = 1e-331.6: the powers in u overflow on the way
+    CharParams(-5.2759, 2.4339, 1.2994e-3, 0.010882, 0.55290),
+    # l = 1e-303.6, below a real root at 2.27e-304
+    CharParams(-11.640755224148691, 33.9244766331865, 0.010662504021753762,
+               0.011535429321214173, 0.513678314337231),
+])
+def test_bounds_out_of_double_range(p):
+    for f in (unstable_root_bounds, count_unstable_roots):
+        with pytest.raises(AnnulusOutOfRange):
+            f(p)
+
+
+def test_bounds_with_d_const_past_double_range():
+    # D = delta^(-50) overflows, yet u stays tiny and the annulus is ordinary
+    p = CharParams(1e-8, 1e-8, 1e-7, 0.01, 1.0)
+    b = unstable_root_bounds(p)
+    assert b.d_const == math.inf
+    assert 0.0 < b.l <= b.L < 1.0
+    assert count_unstable_roots(p).n_unstable == 0
+    s = SystemSpec(p.a11, 1.0, p.a11 * p.a22 - p.delta, p.a22, p.q1, p.q2)
+    assert classify(s).kind == VerdictKind.StableForOrders
 
 
 @pytest.mark.parametrize("p, n, kind", [
