@@ -353,6 +353,32 @@ def test_simulate_reference_short_horizon(capsys):
     assert rec["slope"] == pytest.approx(-0.25, rel=0.30)
 
 
+@pytest.mark.parametrize(
+    "spec, x0, t_end, h",
+    [
+        # the stable reference run, 20001 rows
+        (SystemSpec(0.00001, 1.0, -0.0022, 0.1, 0.5, 0.25), (1.0, 1.0), 5e4, 2.5),
+        # truncated by overflow after 97 rows
+        (SystemSpec(50.0, 0.0, 0.0, 50.0, 1.0, 1.0), (1.0, 1.0), 300.0, 1.0),
+        # -0.0, 1e-300-scale and subnormal states
+        (SystemSpec(-1.0, 0.0, 1e-10, -1.0, 0.5, 0.5), (1e-300, -0.0), 5.0, 0.01),
+    ],
+)
+def test_simulate_csv_bytes(tmp_path, capsys, spec, x0, t_end, h):
+    out_path = tmp_path / "traj.csv"
+    run_cli(capsys, "simulate", "--a11", repr(spec.a11), "--a12", repr(spec.a12),
+            "--a21", repr(spec.a21), "--a22", repr(spec.a22), "--q1", repr(spec.q1),
+            "--q2", repr(spec.q2), f"--x0={x0[0]!r}", f"--y0={x0[1]!r}",
+            "--t-end", repr(t_end), "--h", repr(h), "--out", out_path)
+    traj = fracstab.integrate(spec, x0, t_end, h)
+    norms = traj.norms()
+    lines = ["t,x,y,norm\n"]
+    for i in range(len(traj.times)):
+        lines.append(f"{_fmt(traj.times[i])},{_fmt(traj.states[i, 0])},"
+                     f"{_fmt(traj.states[i, 1])},{_fmt(norms[i])}\n")
+    assert out_path.read_bytes() == "".join(lines).encode()
+
+
 def test_simulate_step_cap_usage(capsys):
     code, _, _ = run_cli(capsys, "simulate", "--a11", -1, "--a12", 0, "--a21", 0, "--a22", -1,
                       "--q1", "0.5", "--q2", "0.5", "--x0", 1, "--y0", 1,

@@ -1,6 +1,7 @@
 """Tests for the fractional predictor-corrector integrator and decay fits."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -261,6 +262,53 @@ def test_matches_direct_sum_near_overflow(s, x0, t_end, h, rows, overflowed):
     assert len(traj.times) == len(traj.states) == len(ref) == rows
     assert traj.overflowed is ref_overflowed is overflowed
     assert np.max(np.abs(traj.states - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize(
+    "s, x0, t_end, h, rows, overflowed",
+    [
+        # the block resolvent passes 1e300 long before the states do, so each
+        # block is solved in pieces short enough for the resolvent to stay finite
+        (SystemSpec(50.0, 0.0, 0.0, 50.0, 1.0, 1.0), (1e-100, 1e-100), 300.0, 1.0, 129, True),
+        (SystemSpec(50.0, 0.0, 0.0, 50.0, 1.0, 1.0), (1.0, 1.0), 300.0, 1.0, 97, True),
+        (SystemSpec(3.0, 1.0, -2.0, 4.0, 0.3, 0.8), (1e-200, 1e-200), 600.0, 2.0, 301, False),
+        # A has eigenvalues -1 and -1.5, but at q = 0.1 this step makes the
+        # scheme itself unstable and the states grow to 1e100; solving the
+        # blocks with the resolvent of the merged step kernels alone drifted
+        # 2.3e-12 from the direct sum here
+        (SystemSpec(-4.0, -3.0, 2.5, 1.5, 0.1, 0.1), (-1.0, -0.5), 125.0, 0.25, 501, False),
+    ],
+)
+def test_block_solve_matches_direct_sum(s, x0, t_end, h, rows, overflowed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = integrate(s, x0, t_end, h)
+    ref, ref_overflowed = direct_integrate(s, x0, t_end, h)
+    assert len(traj.states) == len(ref) == rows
+    assert traj.overflowed is ref_overflowed is overflowed
+    assert np.max(np.abs(traj.states - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_matches_direct_sum_random():
+    # random systems, growing ones included, some of them past 1e300
+    rng = np.random.default_rng(4127)
+    overflowing = 0
+    for _ in range(100):
+        q1, q2 = rng.uniform(0.05, 1.0, size=2)
+        a11, a12, a21, a22 = rng.uniform(-5.0, 5.0, size=4)
+        s = SystemSpec(a11, a12, a21, a22, q1, q2)
+        x0 = tuple(rng.uniform(-1.0, 1.0, size=2))
+        h = 10.0 ** rng.uniform(-3.0, 0.0)
+        steps = int(rng.integers(1, 601))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = integrate(s, x0, steps * h, h)
+        ref, ref_overflowed = direct_integrate(s, x0, steps * h, h)
+        overflowing += ref_overflowed
+        assert traj.states.shape == ref.shape, (s, x0, h, steps)
+        assert traj.overflowed is ref_overflowed, (s, x0, h, steps)
+        assert np.max(np.abs(traj.states - ref)) <= 1e-12 * np.max(np.abs(ref)), (s, x0, h, steps)
+    assert overflowing >= 5
 
 
 def test_step_cap():
