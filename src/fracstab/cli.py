@@ -5,6 +5,10 @@ JSON with --json); the data-producing commands write CSV with 17 significant
 digits (full double round-trip) plus a run manifest JSON next to each output
 file. Exit codes: 0 stable/success, 1 unstable, 2 marginal/unclassified,
 64 usage, 65 data error, 70 internal.
+
+The argument parser is built once, when this module is imported; ``main``
+only parses and dispatches, so in-process callers do not pay for building it
+on every call. ``python -m fracstab`` runs ``main``.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
@@ -120,7 +125,19 @@ def _err(message: str) -> None:
     print(f"fracstab: {message}", file=sys.stderr)
 
 
+# a negative number in decimal, exponent, inf or nan form: -2, -.5e-3, -1E3, -inf
+_NEGATIVE_NUMBER = re.compile(
+    r"^-(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf(?:inity)?|nan)$", re.IGNORECASE
+)
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads only plain decimals like -0.5 as negative numbers, so
+        # "--a12 -1.2e-05" would lose its value to a presumed flag
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     # argparse exits with 2 on bad flags; the documented usage code is 64
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -167,12 +184,11 @@ def _cmd_curve(args) -> int:
 def _cmd_qscan(args) -> int:
     delta = _resolve_delta(args)
     grid = qscan_verdicts(args.a11, args.a22, delta, args.grid)
-    lines = ["q1,q2,stable"]
     n = args.grid
     qs = [_fmt(j / n) for j in range(1, n + 1)]
-    for q1, row in zip(qs, grid.tolist()):
-        lines.extend(f"{q1},{q2},{v}" for q2, v in zip(qs, row))
-    body = "\n".join(lines) + "\n"
+    # one "%d" slot per cell, rows joined once, filled by one % over the raster
+    template = "".join([q1 + "," + (",%d\n" + q1 + ",").join(qs) + ",%d\n" for q1 in qs])
+    body = "q1,q2,stable\n" + template % tuple(grid.ravel().tolist())
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(body)
@@ -320,10 +336,14 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# parse_args starts from a fresh Namespace on every call, so one parser serves
+# any number of calls
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

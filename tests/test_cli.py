@@ -2,12 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fracstab
-from fracstab import SystemSpec, classify, curve, qscan_verdicts
+from fracstab import SystemSpec, classify, cli, curve, qscan_verdicts
 from fracstab.cli import (
     EXIT_DATA,
     EXIT_INTERNAL,
@@ -106,6 +110,14 @@ def test_exit_code_table(capsys):
         (EXIT_USAGE, ["classify", *REF, "--q1", "1.5", "--q2", "0.5"]),
         (EXIT_USAGE, ["classify", *REF, "--q1", "abc", "--q2", "0.5"]),
         (EXIT_USAGE, ["no-such-command"]),
+        # negative values in exponent notation are values after a space too
+        (EXIT_STABLE, ["simulate", "--a11", -1, "--a12", "-1.2e-05", "--a21", 0, "--a22", -1,
+                       "--q1", "0.5", "--q2", "0.5", "--x0", 1, "--y0", 1,
+                       "--t-end", 1, "--h", "0.01"]),
+        (EXIT_STABLE, ["classify", "--a11", 1, "--a12", 1, "--a21", "-1E3", "--a22", "-.5e-3",
+                       "--q1", "0.5", "--q2", "0.5"]),
+        (EXIT_UNSTABLE, ["roots", "--a11", "0.00001", "--a22", "0.1", "--a12", 1,
+                         "--a21", "-2.2e-3", "--q1", "0.25", "--q2", "0.5"]),
     ]
     for want, args in cases:
         code, _, _ = run_cli(capsys, *args)
@@ -413,3 +425,119 @@ def test_cli_classify_matches_library(capsys):
         assert rec["phi_value"] == v.phi_value
         assert rec["decay_exponent"] == v.decay_exponent
         assert code == VERDICT_EXIT_CODES[v.kind]
+
+
+@pytest.mark.parametrize("value", ["-1.2e-05", "-1E3", "-.5e-3", "-inf"])
+def test_negative_value_space_form_matches_equals_form(capsys, value):
+    flags = ["--a11", -1, "--a21", 0, "--a22", -1, "--q1", "0.5", "--q2", "0.5",
+             "--x0", 1, "--y0", 1, "--t-end", 1, "--h", "0.01", "--json"]
+    spaced = run_cli(capsys, "simulate", *flags, "--a12", value)
+    joined = run_cli(capsys, "simulate", *flags, f"--a12={value}")
+    assert spaced == joined
+    if value == "-inf":
+        assert spaced[0] == EXIT_USAGE
+        assert "finite" in spaced[2]
+    else:
+        assert json.loads(spaced[1])["overflowed"] is False
+
+
+def test_python_m_fracstab():
+    env = dict(os.environ, PYTHONPATH=str(Path(fracstab.__file__).resolve().parents[1]))
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "fracstab", *args], env=env,
+                              capture_output=True, text=True, timeout=120, check=False)
+
+    done = run("classify", *REF, "--q1", "0.5", "--q2", "0.25")
+    assert done.returncode == EXIT_STABLE, done.stderr
+    assert parse_record(done.stdout.strip())["kind"] == "StableForOrders"
+    done = run("classify", *REF, "--q1", "0.5", "--q2", "0.25", "--no-such-flag")
+    assert done.returncode == EXIT_USAGE
+    assert "--no-such-flag" in done.stderr
+
+
+def run_collect(capsys, tmp_path, args):
+    """run_cli, plus every file the call wrote under tmp_path, which is then
+    emptied; a manifest is kept without its timestamp."""
+    code, out, err = run_cli(capsys, *args)
+    files = {}
+    for path in sorted(tmp_path.iterdir()):
+        if path.name.endswith(".manifest.json"):
+            man = json.loads(path.read_text())
+            assert man.pop("timestamp")
+            files[path.name] = man
+        else:
+            files[path.name] = path.read_bytes()
+        path.unlink()
+    return code, out, err, files
+
+
+def check_against_fresh(capsys, monkeypatch, tmp_path, calls):
+    """Run the calls in order through main's one parser, then each on its own
+    through a freshly built parser; the results must agree call by call."""
+    shared = [run_collect(capsys, tmp_path, args) for args in calls]
+    for args, got in zip(calls, shared):
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_PARSER", cli._build_parser())
+            assert run_collect(capsys, tmp_path, args) == got, args
+    return shared
+
+
+def test_parser_reuse_qscan_delta_not_carried(tmp_path, capsys, monkeypatch):
+    out_path = tmp_path / "scan.csv"
+    first, second = check_against_fresh(capsys, monkeypatch, tmp_path, [
+        ["qscan", "--a11", "0.00001", "--a22", "0.1", "--delta", 4, "--grid", 5, "--out", out_path],
+        ["qscan", *REF, "--grid", 5, "--out", out_path],
+    ])
+    assert first[0] == second[0] == EXIT_STABLE
+    assert first[3]["scan.csv.manifest.json"]["inputs"]["delta"] == 4.0
+    inputs = second[3]["scan.csv.manifest.json"]["inputs"]
+    assert inputs["delta"] is None
+    assert (inputs["a12"], inputs["a21"]) == (1.0, -0.0022)
+    assert second[3]["scan.csv"] == per_cell_csv(*REF_QSCAN, 5).encode()
+    assert first[3]["scan.csv"] != second[3]["scan.csv"]
+
+
+def test_parser_reuse_simulate_out_not_carried(tmp_path, capsys, monkeypatch):
+    flags = ["simulate", "--a11", -1, "--a12", 0, "--a21", 0, "--a22", -1, "--q1", "0.5",
+             "--q2", "0.5", "--x0", 1, "--y0", 1, "--t-end", 2, "--h", "0.01", "--json"]
+    first, second = check_against_fresh(capsys, monkeypatch, tmp_path, [
+        [*flags, "--out", tmp_path / "traj.csv"],
+        flags,
+    ])
+    assert sorted(first[3]) == ["traj.csv", "traj.csv.manifest.json"]
+    assert json.loads(first[1])["out"] == str(tmp_path / "traj.csv")
+    assert second[3] == {}
+    assert json.loads(second[1])["out"] is None
+
+
+def test_parser_reuse_after_usage_error(tmp_path, capsys, monkeypatch):
+    valid = ["classify", *REF, "--q1", "0.5", "--q2", "0.25"]
+    before, bad, after = check_against_fresh(capsys, monkeypatch, tmp_path, [
+        valid,
+        ["classify", *REF, "--q1", "0.5"],
+        valid,
+    ])
+    assert bad[0] == EXIT_USAGE
+    assert "--q2" in bad[2]
+    assert before == after
+    assert before[0] == EXIT_STABLE
+
+
+def test_parser_reuse_json_not_carried(tmp_path, capsys, monkeypatch):
+    args = ["roots", *REF, "--q1", "0.25", "--q2", "0.5"]
+    as_json, plain = check_against_fresh(capsys, monkeypatch, tmp_path, [[*args, "--json"], args])
+    assert json.loads(as_json[1])["n_unstable"] == 2
+    assert parse_record(plain[1].strip())["n_unstable"] == "2"
+
+
+def test_main_does_not_rebuild_parser(monkeypatch, capsys):
+    def no_rebuild():
+        raise AssertionError("the parser is rebuilt")
+
+    monkeypatch.setattr(cli, "_build_parser", no_rebuild)
+    code, out, _ = run_cli(capsys, "classify", *REF, "--q1", "0.5", "--q2", "0.25")
+    assert code == EXIT_STABLE
+    assert parse_record(out.strip())["kind"] == "StableForOrders"
+    code, _, _ = run_cli(capsys, "qscan", *REF, "--grid", 4)
+    assert code == EXIT_STABLE
