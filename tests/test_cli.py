@@ -5,13 +5,14 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fracstab
-from fracstab import SystemSpec, classify, cli, curve, qscan_verdicts
+from fracstab import CurveParams, SystemSpec, classify, cli, curve, qscan_verdicts, sample_curve
 from fracstab.cli import (
     EXIT_DATA,
     EXIT_INTERNAL,
@@ -201,6 +202,24 @@ def test_curve_byte_stable(tmp_path, capsys):
                           "--omega-min", -2, "--omega-max", 2, "--n", 200, "--out", path)
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("delta, q1, q2, omega_min, omega_max, n", [
+    (2.5, 0.45, 0.95, -2.0, 2.0, 200),
+    (4.0, 0.5, 0.5, -3.0, 3.0, 1500),  # more rows than one write chunk
+    (0.002201, 0.5, 0.25, 0.6, 1.0, 2),
+])
+def test_curve_csv_bytes(tmp_path, capsys, delta, q1, q2, omega_min, omega_max, n):
+    out_path = tmp_path / "curve.csv"
+    code, _, _ = run_cli(capsys, "curve", "--delta", repr(delta), "--q1", repr(q1),
+                         "--q2", repr(q2), f"--omega-min={omega_min!r}",
+                         f"--omega-max={omega_max!r}", "--n", n, "--out", out_path)
+    assert code == EXIT_STABLE
+    points = sample_curve(CurveParams(delta, q1, q2), omega_min, omega_max, n)
+    lines = ["omega,a11,a22\n"]
+    for pt in points:
+        lines.append(f"{_fmt(pt.omega)},{_fmt(pt.a11)},{_fmt(pt.a22)}\n")
+    assert out_path.read_bytes() == "".join(lines).encode()
 
 
 def test_curve_unwritable_out(tmp_path, capsys):
@@ -541,3 +560,77 @@ def test_main_does_not_rebuild_parser(monkeypatch, capsys):
     assert parse_record(out.strip())["kind"] == "StableForOrders"
     code, _, _ = run_cli(capsys, "qscan", *REF, "--grid", 4)
     assert code == EXIT_STABLE
+
+
+OUT_COMMANDS = {
+    "qscan": ["qscan", *REF, "--grid", 6],
+    "simulate": ["simulate", "--a11", -1, "--a12", 0, "--a21", 0, "--a22", -1, "--q1", "0.5",
+                 "--q2", "0.5", "--x0", 1, "--y0", 1, "--t-end", 1, "--h", "0.01"],
+    "curve": ["curve", "--delta", 2.5, "--q1", "0.45", "--q2", "0.95",
+              "--omega-min", -2, "--omega-max", 2, "--n", 50],
+}
+
+
+@pytest.mark.parametrize("args", OUT_COMMANDS.values(), ids=OUT_COMMANDS)
+def test_out_longer_file_cut_to_new_bytes(tmp_path, capsys, args):
+    fresh, stale = tmp_path / "fresh", tmp_path / "stale"
+    fresh.mkdir()
+    stale.mkdir()
+    old = b"9,9,9\n" * 20000
+    (stale / "o.csv").write_bytes(old)
+    (stale / "o.csv.manifest.json").write_bytes(old)
+    manifests = []
+    for where in (fresh, stale):
+        code, _, _ = run_cli(capsys, *args, "--out", where / "o.csv")
+        assert code == EXIT_STABLE
+        text = (where / "o.csv.manifest.json").read_text()
+        assert text == json.dumps(json.loads(text)) + "\n"
+        man = json.loads(text)
+        assert man.pop("outputs") == [str(where / "o.csv")] == [man["inputs"].pop("out")]
+        assert man.pop("timestamp")
+        manifests.append(man)
+    new = (stale / "o.csv").read_bytes()
+    assert len(new) < len(old)
+    assert new == (fresh / "o.csv").read_bytes()
+    assert manifests[0] == manifests[1]
+
+
+def test_out_symlink_written_through(tmp_path, capsys):
+    target = tmp_path / "target.csv"
+    target.write_bytes(b"stale\n" * 1000)
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    code, _, _ = run_cli(capsys, "qscan", *REF, "--grid", 5, "--out", link)
+    assert code == EXIT_STABLE
+    assert link.is_symlink()
+    assert os.readlink(link) == str(target)
+    assert target.read_bytes() == per_cell_csv(*REF_QSCAN, 5).encode()
+
+
+def test_overwrite_cut_when_body_raises(tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_text("0123456789")
+    with pytest.raises(RuntimeError, match="mid-write"):
+        with cli._overwrite(str(path)) as fh:
+            fh.write("ab")
+            raise RuntimeError("mid-write")
+    assert path.read_bytes() == b"ab"
+
+
+def test_out_fifo_receives_csv(tmp_path, capsys):
+    fifo = tmp_path / "scan.fifo"
+    os.mkfifo(fifo)
+    received = []
+
+    def drain():
+        with open(fifo, "rb") as fh:
+            received.append(fh.read())
+
+    reader = threading.Thread(target=drain, daemon=True)
+    reader.start()
+    code, _, err = run_cli(capsys, "qscan", *REF, "--grid", 7, "--out", fifo)
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert code == EXIT_STABLE, err
+    assert received == [per_cell_csv(*REF_QSCAN, 7).encode()]
+    assert json.loads((tmp_path / "scan.fifo.manifest.json").read_text())["command"] == "qscan"
