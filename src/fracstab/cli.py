@@ -9,13 +9,15 @@ file. Exit codes: 0 stable/success, 1 unstable, 2 marginal/unclassified,
 Output files (the CSV and its manifest) are overwritten in place: an
 existing file is opened without truncation, written from the start and then
 cut to the bytes written. There is no temp file, rename or fsync. On ext4, a
-file truncated on open and refilled made close() pay for block allocation
-and writeback: a 17 KB write took a median 0.17 ms that way, 0.15 ms through
-a temp file and rename, and 0.025 ms in place (2-CPU VM), where a whole
-32 x 32 raster written to stdout takes about 1 ms. Writing in place also
-keeps a symlinked path a symlink, and FIFOs and devices are not truncated,
-as with a plain open. A run that stops part-way leaves an incomplete file,
-as a plain open does.
+file truncated to zero on open and refilled makes close() pay for block
+allocation and writeback, which costs more than a small qscan raster's
+arithmetic; writing in place does not. It also keeps a symlinked path a
+symlink, and FIFOs and devices are not truncated, as with a plain open. The
+cut runs when the command returns or raises, Ctrl-C included. A run killed
+by a signal Python does not turn into an exception (SIGTERM, SIGKILL) or by
+a crash skips it, and may leave the new bytes followed by the tail of the
+old file; the CSV is written before its manifest, so the manifest is then
+the old one. Trust an output only when the command exited normally.
 
 The argument parser is built once, when this module is imported; ``main``
 only parses and dispatches, so in-process callers do not pay for building it
@@ -105,7 +107,11 @@ def _overwrite(path: str):
             yield fh
         finally:
             if stat.S_ISREG(os.fstat(fd).st_mode):
-                fh.truncate()
+                try:
+                    fh.flush()
+                finally:
+                    # cut at the bytes that reached the file, also when the flush failed
+                    os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
 
 
 def _write_float_csv(fh, header: str, data: np.ndarray) -> None:

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import errno
 import json
 import math
 import os
@@ -615,6 +616,29 @@ def test_overwrite_cut_when_body_raises(tmp_path):
             fh.write("ab")
             raise RuntimeError("mid-write")
     assert path.read_bytes() == b"ab"
+
+
+def test_overwrite_cut_when_flush_fails(tmp_path):
+    # a file size limit lets the first 1000 bytes reach the file and fails the rest
+    path = tmp_path / "f.txt"
+    path.write_bytes(b"o" * 5000)
+    script = f"""
+import resource, signal
+from fracstab import cli
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (1000, resource.RLIM_INFINITY))
+try:
+    with cli._overwrite({str(path)!r}) as fh:
+        fh.write("n" * 3000)
+except OSError as exc:
+    print(exc.errno)
+"""
+    src = str(Path(fracstab.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) == errno.EFBIG
+    assert path.read_bytes() == b"n" * 1000
 
 
 def test_out_fifo_receives_csv(tmp_path, capsys):
