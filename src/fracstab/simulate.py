@@ -12,6 +12,10 @@ for the corrector, and the full memory term. With f = A x,
                a_{0,n} = n^(q+1) - (n-q)(n+1)^q,
                c_m = (m+2)^(q+1) + m^(q+1) - 2(m+1)^(q+1).
 
+As written, each weight is a difference of terms up to m^2 times larger than
+itself; `_weights` evaluates all three in forms that do not cancel (expm1 and
+log1p, and series in 1/m for c_m and a_{0,n}), to about 1e-14 relative.
+
 No short-memory truncation: the decay checks downstream rely on the exact
 tail behavior. The memory sums are convolutions, so they are split over a
 tree of power-of-two blocks (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat.
@@ -19,19 +23,26 @@ Comput. 6, 1985; Garrappa, Mathematics 6(2):16, 2018): once the left half of
 a larger block is known, its share of the sums of the right half is added by
 FFT. That costs O(N log^2 N) instead of O(N^2), with the same weights.
 
-Inside one base block the steps are solved together rather than one by one.
 f = A x is linear, so a step is x_{n+1} = g_n + sum_{n0<=j<=n} K_{n-j} x_j
-with K_m = Wc (A Wp D_m + C_m) A, Wp = diag(h^q/G(q+1)),
+with the step kernels K_m = Wc (A Wp D_m + C_m) A, Wp = diag(h^q/G(q+1)),
 Wc = diag(h^q/G(q+2)), D_m = diag(d_m), C_m = diag(c_m), and g_n holding
-the known terms. The unknowns z_r = x_{n0+r+1} of the block then solve the
-same unit lower triangular block-Toeplitz system in every block, whose
-inverse is the discrete resolvent R_0 = I, R_m = sum_{i<m} K_{m-1-i} R_i,
-computed once per run. A block is z = R * rhs, a direct convolution cut to
-the block. A second such solve, on the residual of the PECE steps as
-written above, makes the states at least as accurate as a step-by-step
-loop; with the merged kernels K alone, runs where the scheme itself is
-unstable drifted from it by more than 1e-12 of the largest state. Where R_m leaves [-1e300, 1e300] before the end
-of a block, blocks are solved in pieces short enough for R to stay finite.
+the known terms. The far field of a step only enters through that sum, so
+it is kept as one pair per step, and the FFT of a tree level convolves the
+x block with the spectrum of K_m, m < 2b: two forward and two inverse real
+transforms per block. Each level's spectrum is built on its first block and
+dropped after its last.
+
+Inside one base block the steps are solved together rather than one by one.
+The unknowns z_r = x_{n0+r+1} of the block solve the same unit lower
+triangular block-Toeplitz system in every block, whose inverse is the
+discrete resolvent R_0 = I, R_m = sum_{i<m} K_{m-1-i} R_i, computed once per
+run. A block is z = R * rhs, a direct convolution cut to the block. A second
+such solve, on the residual of the PECE steps as written above, makes the
+states at least as accurate as a step-by-step loop; with the merged kernels
+K alone, runs where the scheme itself is unstable drifted from it by more
+than 1e-12 of the largest state. Where R_m leaves [-1e300, 1e300] before
+the end of a block, blocks are solved in pieces short enough for R to stay
+finite.
 """
 
 from __future__ import annotations
@@ -115,54 +126,62 @@ def integrate(
     amat = np.array([[s.a11, s.a12], [s.a21, s.a22]])
     wp = np.array([h**q / math.gamma(q + 1.0) for q in qs])
     wc = np.array([h**q / math.gamma(q + 2.0) for q in qs])
-    ker = _kernels(qs, max(n_steps, _BLOCK))
+    weights = _weights(qs, max(n_steps, _BLOCK))
 
     x = np.empty((n_steps + 1, 2))
     x[0] = x_init
     f0 = amat @ x_init
-    # far[n] = (p1, p2, c1, c2): the predictor and corrector sums of step n over
-    # the steps before its block. The corrector sums run from j = 0, so they
-    # start at -c_n f_0 to cancel that term.
-    far = np.zeros((n_steps, 4))
-    far[:, 2:] = ker[1, :, :n_steps].T * -f0
+    base = x_init + wc * f0
+    # far[n]: what the steps before n's block add to step n's corrector,
+    # Wc (A Wp P + C) for their predictor sums P and corrector sums C. C runs
+    # from j = 0, so far starts at Wc (a_{0,n} - c_n) f_0, which adds the
+    # a_{0,n} f_0 term and cancels the c_n f_0 one.
+    far = (wc * (weights[2, :, :n_steps] - weights[1, :, :n_steps]).T) * f0
+    # rows d_1, d_2, c_1, c_2; a_{0,n} is not needed past far
+    dc = weights[:2].reshape(4, -1).copy()
+    del weights
+
+    def pece(known, sums):
+        # a block's PECE steps as a step-by-step loop evaluates them, from
+        # the in-block d and c sums, sums[kind, component]
+        return known + (wc[:, None] * (amat @ (wp[:, None] * sums[0]) + sums[1])).T
+
+    # spectra[b]: rfft of K_m, m < 2b, for the blocks of length b added by
+    # FFT; built on a level's first block and dropped after its last one
+    spectra = {}
 
     last = n_steps
     with np.errstate(over="ignore", invalid="ignore"):
-        # step kernels K_m = Wc (A Wp D_m + C_m) A, m < _BLOCK
-        size = min(_BLOCK, n_steps)
-        kmat = amat * (wp * ker[0, :, :size].T)[:, None, :]
-        kmat[:, (0, 1), (0, 1)] += ker[1, :, :size].T
-        kmat = wc[:, None] * (kmat @ amat)
-        res = _resolvent(kmat)
+        # K_m = kern[:, :, m] = (basis @ dc[:, m]).reshape(2, 2)
+        basis = _kernel_basis(amat, wp, wc)
+        kern = (basis @ dc[:, : min(_BLOCK, n_steps)]).reshape(2, 2, -1)
+        res = _resolvent(kern)
         for n0 in range(0, n_steps, _BLOCK):
             if n0:
-                _add_far_field(far, ker, amat, x, n0)
+                b = n0 & -n0
+                spectrum = spectra.pop(b, None)
+                if spectrum is None:
+                    spectrum = np.fft.rfft((basis @ dc[:, : 2 * b]).reshape(2, 2, -1), 2 * b)
+                _add_far_field(far, spectrum, x, n0)
+                if n0 + 2 * b < n_steps:
+                    spectra[b] = spectrum
             count = min(_BLOCK, n_steps - n0)
-            # a_{0,n} by scalar pow: the formula cancels, and numpy's vectorized
-            # pow can differ from it in the last bit
-            a0 = np.array(
-                [
-                    [n ** (q + 1.0) - (n - q) * (n + 1.0) ** q for n in range(n0, n0 + count)]
-                    for q in qs
-                ]
-            ).T
-            a0f0 = a0 * f0
+            # the terms of the block's PECE steps that x_1, x_2, ... do not
+            # change: x_0, f(x_0) and the steps before the block
+            known = base + far[n0 : n0 + count]
+            # two sweeps, the first seeing x_{n0} alone (its sums are one
+            # product) and the second the whole block; each adds the solution
+            # of the block system for the residual of the PECE steps
             z = x[n0 + 1 : n0 + 1 + count]
-            z[:] = 0.0
-            # two sweeps, the first seeing x_{n0} alone and the second the
-            # whole block; each adds the solution of the block system for the
-            # residual of the PECE steps as a step-by-step loop evaluates them
-            for seen in (1, count):
-                f = x[n0 : n0 + seen] @ amat.T
-                sums = far[n0 : n0 + count].copy()
-                for k in (0, 1):
-                    for i in (0, 1):
-                        sums[:, 2 * k + i] += np.convolve(ker[k, i, :count], f[:, i])[:count]
-                xp = x_init + wp * sums[:, :2]
-                pece = x_init + wc * (xp @ amat.T + a0f0 + sums[:, 2:])
-                z += _solve_block(res, kmat, pece - z)
-            inside = np.all(np.abs(z) <= _OVERFLOW_LIMIT, axis=1)
-            if not inside.all():
+            sums = dc[:, :count].reshape(2, 2, count) * (amat @ x[n0])[:, None]
+            z[:] = _solve_block(res, kern, pece(known, sums))
+            f = amat @ x[n0 : n0 + count].T
+            for k in (0, 1):
+                for i in (0, 1):
+                    sums[k, i] = np.convolve(dc[2 * k + i, :count], f[i])[:count]
+            z += _solve_block(res, kern, pece(known, sums) - z)
+            if not np.max(np.abs(z)) <= _OVERFLOW_LIMIT:
+                inside = np.all(np.abs(z) <= _OVERFLOW_LIMIT, axis=1)
                 last = n0 + int(np.argmin(inside))
                 break
 
@@ -175,80 +194,144 @@ def integrate(
     )
 
 
-def _resolvent(kmat: np.ndarray) -> np.ndarray:
-    """Discrete resolvent of the step kernels: R_0 = I and
-    R_m = sum_{i<m} K_{m-1-i} R_i, ending before the first R_m with an entry
-    outside [-1e300, 1e300]."""
-    size = len(kmat)
+def _kernel_basis(amat: np.ndarray, wp: np.ndarray, wc: np.ndarray) -> np.ndarray:
+    """The step kernels K_m = Wc (A Wp D_m + C_m) A, D_m = diag(d_m) and
+    C_m = diag(c_m), are linear in (d_1, d_2, c_1, c_2)_m: the (4, 4) matrix
+    of that map, rows i j and columns kind l."""
+    pred = wc[:, None, None] * amat[:, None, :] * (wp[:, None] * amat).T
+    corr = (wc[:, None] * amat)[:, :, None] * np.eye(2)[:, None, :]
+    return np.concatenate((pred, corr), axis=2).reshape(4, 4)
+
+
+def _resolvent(kern: np.ndarray) -> np.ndarray:
+    """Discrete resolvent of the step kernels K_m = kern[:, :, m]: R_0 = I
+    and R_m = sum_{i<m} K_{m-1-i} R_i as res[:, :, m], ending before the
+    first R_m with an entry outside [-1e300, 1e300]."""
+    size = kern.shape[2]
     # krev[:, 2(size-1-m) : 2(size-m)] = K_m, so the last 2m columns are
     # (K_{m-1}, ..., K_0); rows 2i, 2i+1 of flat are R_i
-    krev = kmat[::-1].transpose(1, 0, 2).reshape(2, 2 * size)
+    krev = kern[:, :, ::-1].transpose(0, 2, 1).reshape(2, 2 * size)
     res = np.empty((size, 2, 2))
     res[0] = np.eye(2)
     flat = res.reshape(2 * size, 2)
     for m in range(1, size):
-        res[m] = krev[:, 2 * (size - m) :] @ flat[: 2 * m]
+        np.dot(krev[:, 2 * (size - m) :], flat[: 2 * m], out=res[m])
     inside = np.all(np.abs(res) <= _OVERFLOW_LIMIT, axis=(1, 2))
-    return res if inside.all() else res[: np.argmin(inside)]
+    return res.transpose(1, 2, 0)[:, :, : size if inside.all() else np.argmin(inside)].copy()
 
 
-def _solve_block(res: np.ndarray, kmat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _solve_block(res: np.ndarray, kern: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve z_r = rhs_r + sum_{i<r} K_{r-1-i} z_i for the rows of rhs.
 
-    z is the resolvent convolved with rhs, in pieces of len(res) rows; the
+    z is the resolvent convolved with rhs, in pieces of res.shape[2] rows; the
     terms of earlier pieces join the right-hand side of later ones. Row r of
     z depends on rows i <= r of rhs only.
     """
     z = np.empty_like(rhs)
-    for start in range(0, len(rhs), len(res)):
-        stop = min(start + len(res), len(rhs))
-        piece = rhs[start:stop].copy()
+    span = res.shape[2]
+    for start in range(0, len(rhs), span):
+        stop = min(start + span, len(rhs))
+        piece = rhs[start:stop]
         if start:
+            piece = piece.copy()
             for i in (0, 1):
                 for l in (0, 1):
-                    piece[:, i] += np.convolve(kmat[: stop - 1, i, l], z[:start, l])[start - 1 : stop - 1]
+                    piece[:, i] += np.convolve(kern[i, l, : stop - 1], z[:start, l])[start - 1 : stop - 1]
         width = stop - start
         for i in (0, 1):
             z[start:stop, i] = (
-                np.convolve(res[:width, i, 0], piece[:, 0])[:width]
-                + np.convolve(res[:width, i, 1], piece[:, 1])[:width]
+                np.convolve(res[i, 0, :width], piece[:, 0])[:width]
+                + np.convolve(res[i, 1, :width], piece[:, 1])[:width]
             )
     return z
 
 
-def _kernels(qs: tuple[float, float], length: int) -> np.ndarray:
-    """Quadrature kernels ker[kind, component, m], m < length: kind 0 holds
-    the predictor's d_m, kind 1 the corrector's c_m."""
+def _horner(coefs: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = sum_k coefs[:, k] x^k, one row of coefficients per row of out."""
+    np.multiply(coefs[:, -1:], x, out=out)
+    out += coefs[:, -2:-1]
+    for k in range(coefs.shape[1] - 3, -1, -1):
+        out *= x
+        out += coefs[:, k : k + 1]
+    return out
+
+
+def _weights(qs: tuple[float, float], length: int) -> np.ndarray:
+    """The ABM weights w[kind, component, m], m < length: kind 0 holds the
+    predictor's d_m, kind 1 the corrector's c_m and kind 2 its a_{0,m}.
+
+    Each is a difference of terms up to m^2 times larger than itself, so
+    each is evaluated in a form that does not cancel:
+        d_m     = m^q expm1(q log1p(1/m)),
+        c_m     = 2 (m+1)^(q+1) sum_{k>=1} C(q+1, 2k) (m+1)^(-2k), and for
+                  m < 4 the second difference of x^(q+1) = x + x expm1(q log x),
+        a_{0,n} = -n^(q+1) expm1(L), L = log1p(-q/n) + q log1p(1/n), with L
+                  summed as its series sum_{k>=2} (q (-1)^(k+1) - q^k) / (k n^k)
+                  from n = 16 on.
+    Against 50-digit values the relative error stays below 1e-13. The rows
+    are filled in place, which keeps the temporaries of a long run small.
+    """
+    q = np.array(qs)[:, None]
     m = np.arange(length, dtype=float)
-    ker = np.empty((2, 2, length))
-    for i, q in enumerate(qs):
-        ker[0, i] = (m + 1.0) ** q - m**q
-        ker[1, i] = (m + 2.0) ** (q + 1.0) + m ** (q + 1.0) - 2.0 * (m + 1.0) ** (q + 1.0)
-    return ker
+    w = np.empty((3, 2, length))
+    d, c, a0 = w
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # a0 holds m^q until its own turn
+        np.power(m, q, out=a0)
+        np.multiply(q, np.log1p(1.0 / m), out=d)
+        np.expm1(d, out=d)
+        d *= a0
+        d[:, 0] = 1.0
+        # c_m: from m = 4 on consecutive terms of the series shrink by more
+        # than 25 times, and 15 terms reach the last bit; (m+1)^q = m^q + d_m
+        head = m[:4]
+        c[:, :4] = (
+            (head + 2.0) * np.expm1(q * np.log(head + 2.0))
+            + head * np.expm1(q * np.log(head))
+            - 2.0 * (head + 1.0) * np.expm1(q * np.log(head + 1.0))
+        )
+        # binom[:, j] = C(q+1, j+1); q - (j - 1) keeps q + 1 - j exact for small q
+        j = np.arange(30.0)
+        binom = np.cumprod((q - (j - 1.0)) / (j + 1.0), axis=1)
+        r = 1.0 / (m[4:] + 1.0)
+        _horner(binom[:, 1::2], r * r, out=c[:, 4:])
+        c[:, 4:] *= 2.0 * r
+        c[:, 4:] *= a0[:, 4:] + d[:, 4:]
+        # a_{0,n}: a_{0,0} = q; at q = 1, n = 1 the log1p form reads
+        # expm1(-inf) = -1, which is exact; from n = 16 on, 14 terms of the
+        # series reach the last bit
+        head = m[:16]
+        a0[:, :16] *= -head * np.expm1(np.log1p(-q / head) + q * np.log1p(1.0 / head))
+        a0[:, 0] = qs
+        u = 1.0 / m[16:]
+        k = np.arange(2.0, 16.0)
+        series = _horner((q * (-1.0) ** (k + 1.0) - q**k) / k, u, out=np.empty((2, len(u))))
+        series *= u * u
+        a0[:, 16:] *= np.expm1(series, out=series)
+        a0[:, 16:] *= -m[16:]
+    return w
 
 
-def _add_far_field(
-    far: np.ndarray, ker: np.ndarray, amat: np.ndarray, x: np.ndarray, n: int
-) -> None:
-    """Add the sums' terms j in [n - b, n) to steps [n, n + b), b = lowbit(n).
+def _add_far_field(far: np.ndarray, spectrum: np.ndarray, x: np.ndarray, n: int) -> None:
+    """Add the terms of steps j in [n - b, n) to far at steps [n, n + b),
+    b = lowbit(n), given spectrum = rfft(K_m, m < 2b).
 
-    One circular convolution of length 2b per component and kind; outputs at
-    or past b see no wrap-around. Each block of f = A x is scaled by a power
-    of two so that its transform cannot overflow where the direct sum would
-    not.
+    One circular convolution of length 2b: the block of x is transformed
+    (two real FFTs), multiplied by the merged 2 x 2 kernel spectrum, and
+    transformed back (two inverse FFTs); outputs at or past b see no
+    wrap-around. The block is scaled by a power of two so that its transform
+    cannot overflow where the direct sum would not.
     """
     b = n & -n
     size = 2 * b
     count = min(b, len(far) - n)
+    block = x[n - b : n].T
+    exp = math.frexp(np.max(np.abs(block)))[1]
+    xs = np.fft.rfft(np.ldexp(block, -exp), size)
     for i in (0, 1):
-        block = x[n - b : n] @ amat[i]
-        exp = math.frexp(np.max(np.abs(block)))[1]
-        spectrum = np.fft.rfft(np.ldexp(block, -exp, out=block), size)
-        for k in (0, 1):
-            product = np.fft.rfft(ker[k, i, :size], size)
-            product *= spectrum
-            conv = np.fft.irfft(product, size)
-            far[n : n + count, 2 * k + i] += np.ldexp(conv[b : b + count], exp)
+        product = spectrum[i, 0] * xs[0]
+        product += spectrum[i, 1] * xs[1]
+        far[n : n + count, i] += np.ldexp(np.fft.irfft(product, size)[b : b + count], exp)
 
 
 def estimate_decay(traj: Trajectory, tail_fraction: float) -> DecayEstimate:

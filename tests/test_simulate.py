@@ -1,6 +1,7 @@
 """Tests for the fractional predictor-corrector integrator and decay fits."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,7 +19,7 @@ from fracstab import (
     integrate,
     region_membership,
 )
-from fracstab.simulate import _BLOCK
+from fracstab.simulate import _BLOCK, _weights
 
 REF_A = dict(a11=0.00001, a12=1.0, a21=-0.0022, a22=0.1)
 REF_STABLE = SystemSpec(**REF_A, q1=0.5, q2=0.25)
@@ -31,14 +32,14 @@ MIXED = SystemSpec(-1.0, 0.5, -0.5, -0.8, 0.6, 0.9)
 def direct_integrate(s, x0, t_end, h):
     """Reference ABM PECE: the same weights summed directly, O(N^2).
 
-    Returns (states, overflowed); integrate must agree with it.
+    Returns (states, overflowed); integrate must agree with it. The weights
+    d_m, c_m and a_{0,n} come from `_weights`, which test_weights_match_mpmath
+    checks against 50-digit values.
     """
     n_steps = int(math.ceil(t_end / h - 1e-12))
     a = np.array([[s.a11, s.a12], [s.a21, s.a22]])
-    qs = np.array([s.q1, s.q2])
-    m = np.arange(n_steps + 1, dtype=float)
-    d_ker = [(m + 1.0) ** q - m**q for q in qs]
-    c_ker = [(m + 2.0) ** (q + 1.0) + m ** (q + 1.0) - 2.0 * (m + 1.0) ** (q + 1.0) for q in qs]
+    qs = (s.q1, s.q2)
+    d_ker, c_ker, a0_ker = _weights(qs, n_steps + 1)
     w_pred = np.array([h**q / math.gamma(q + 1.0) for q in qs])
     w_corr = np.array([h**q / math.gamma(q + 2.0) for q in qs])
     x_init = np.asarray(x0, dtype=float)
@@ -49,7 +50,7 @@ def direct_integrate(s, x0, t_end, h):
     for n in range(n_steps):
         mem_p = np.array([np.dot(d_ker[i][: n + 1][::-1], f[: n + 1, i]) for i in (0, 1)])
         f_pred = a @ (x_init + w_pred * mem_p)
-        a0 = np.array([n ** (q + 1.0) - (n - q) * (n + 1.0) ** q for q in qs])
+        a0 = a0_ker[:, n]
         mem_c = np.array([np.dot(c_ker[i][:n][::-1], f[1 : n + 1, i]) for i in (0, 1)])
         x[n + 1] = x_init + w_corr * (f_pred + a0 * f[0] + mem_c)
         if not np.all(np.isfinite(x[n + 1])) or np.max(np.abs(x[n + 1])) > 1e300:
@@ -234,9 +235,13 @@ def test_bitwise_determinism():
         (MIXED, (1.0, 0.5), 0.01),
     ],
 )
-@pytest.mark.parametrize("steps", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 3000])
+@pytest.mark.parametrize(
+    "steps", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 3 * _BLOCK + 1, 6 * _BLOCK + 1, 3000, 4097]
+)
 def test_matches_direct_sum(s, x0, h, steps):
-    # step counts straddle the base blocks of the FFT memory sums
+    # step counts straddle the base blocks of the FFT memory sums; 769 and
+    # 1537 reuse a tree level's kernel spectrum, and 4097 cuts the top level
+    # (blocks of 4096) to one step
     traj = integrate(s, x0, steps * h, h)
     ref, overflowed = direct_integrate(s, x0, steps * h, h)
     assert traj.states.shape == ref.shape == (steps + 1, 2)
@@ -309,6 +314,54 @@ def test_matches_direct_sum_random():
         assert traj.overflowed is ref_overflowed, (s, x0, h, steps)
         assert np.max(np.abs(traj.states - ref)) <= 1e-12 * np.max(np.abs(ref)), (s, x0, h, steps)
     assert overflowing >= 5
+
+
+@pytest.mark.parametrize("qs", [(0.06, 0.25), (0.5, 0.9), (0.999, 1.0)])
+def test_weights_match_mpmath(qs):
+    mp = pytest.importorskip("mpmath")
+    points = list(range(64)) + [100, 1000, 3000, 30000, 100000, 200000]
+    got = _weights(qs, points[-1] + 1)
+    with mp.workdps(50):
+        for i, qf in enumerate(qs):
+            q = mp.mpf(qf)
+            for m in points:
+                big = mp.mpf(m)
+                exact = (
+                    (big + 1) ** q - big**q,
+                    (big + 2) ** (q + 1) + big ** (q + 1) - 2 * (big + 1) ** (q + 1),
+                    # at q = 1, n = 1 the first factor of the second term is 0
+                    big ** (q + 1) - (big - q) * (big + 1) ** q,
+                )
+                for kind, ref in enumerate(exact):
+                    err = abs((mp.mpf(got[kind, i, m]) - ref) / ref)
+                    assert err <= 1e-12, (kind, qf, m, float(err))
+
+
+def test_far_field_transform_count(monkeypatch):
+    # per far-field block: one rfft of the (2, b) x block and one irfft per
+    # component; per tree level: one rfft of the (2, 2, 2b) kernels
+    rows = {"rfft": 0, "irfft": 0}
+    for name in rows:
+        def counted(a, *args, _fft=getattr(np.fft, name), _name=name, **kwargs):
+            rows[_name] += int(np.prod(np.shape(a)[:-1]))
+            return _fft(a, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    integrate(MIXED, (1.0, 0.5), 4097 * 0.01, 0.01)
+    blocks = len(range(_BLOCK, 4097, _BLOCK))
+    levels = 5  # blocks of 256, 512, 1024, 2048 and 4096
+    assert rows == {"rfft": 2 * blocks + 4 * levels, "irfft": 2 * blocks}
+
+
+def test_memory_peak():
+    # the x, far and weight arrays plus one tree level's kernel spectrum
+    integrate(REF_STABLE, (1.0, 1.0), 5e4, 2.5)
+    tracemalloc.start()
+    try:
+        integrate(REF_STABLE, (1.0, 1.0), 5e4, 2.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
 
 
 def test_step_cap():
