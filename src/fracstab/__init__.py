@@ -64,7 +64,6 @@ from .roots import (
     RootCountReport,
     commensurate_reduce,
     count_unstable_roots,
-    has_positive_real_root,
     matignon_stable,
     polish_unstable_roots,
     positive_real_roots,
@@ -111,7 +110,6 @@ __all__ = [
     "CompanionSystem",
     "unstable_root_bounds",
     "count_unstable_roots",
-    "has_positive_real_root",
     "positive_real_roots",
     "polish_unstable_roots",
     "commensurate_reduce",

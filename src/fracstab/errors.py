@@ -34,7 +34,7 @@ class ContourThroughRoot(FracstabError):
 
 
 class AnnulusOutOfRange(FracstabError):
-    """The root annulus [l, L] leaves [1e-300, 1e300], so no contour in doubles can bound it."""
+    """The root annulus [l, L] leaves [1e-300, 1e300], or Delta's terms overflow a double on it."""
 
 
 class RefinementLimit(FracstabError):

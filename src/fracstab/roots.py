@@ -6,7 +6,9 @@ Three cross-checking instruments, none of which uses the curve machinery:
   which make the right half-plane effectively compact;
 * an argument-principle winding count of Delta around one rectangle in
   w = log s, the bounded half-annulus, with adaptive phase tracking; the
-  same winding, on halved cells, locates every counted root or raises;
+  same winding, on halved cells, locates every counted complex root or
+  raises, while the positive real roots are isolated exactly between the
+  critical points of Delta on the real axis;
 * for rational orders, reduction to a single-order companion system checked
   against the eigenvalue sector criterion (|Arg lambda| > pi/(2n)).
 """
@@ -16,6 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +39,6 @@ __all__ = [
     "CompanionSystem",
     "unstable_root_bounds",
     "count_unstable_roots",
-    "has_positive_real_root",
     "positive_real_roots",
     "polish_unstable_roots",
     "commensurate_reduce",
@@ -46,7 +48,6 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 _HALF_PI = 0.5 * math.pi
 _MAX_DEPTH = 24  # bisections of one contour step
-_REAL_GRID = 200  # log-spaced sign-scan points of positive_real_roots
 _MAX_SPLITS = 100  # cell halvings before close roots count as inseparable
 # l and L must lie in [1e-300, 1e300], so the contour radii stay doubles
 _LOG_ANNULUS_MIN, _LOG_ANNULUS_MAX = math.log(1e-300), math.log(1e300)
@@ -214,9 +215,20 @@ def _winding(
     return n, turns, evals, deepest
 
 
-def _log_annulus(b: RootBounds) -> tuple[float, float]:
-    # the counted annulus, widened by 1e-3 so no bound root sits on an arc
-    return math.log(b.l * (1.0 - 1e-3)), math.log(b.L * (1.0 + 1e-3))
+def _log_annulus(p: CharParams, b: RootBounds) -> tuple[float, float]:
+    # the counted annulus, widened by 1e-3 so no bound root sits on an arc;
+    # every term of Delta peaks on its outer arc, so the sum of their moduli
+    # must stay a double there or no evaluation on the annulus can be trusted
+    x0, x1 = math.log(b.l * (1.0 - 1e-3)), math.log(b.L * (1.0 + 1e-3))
+    logs = [(p.q1 + p.q2) * x1, math.log(p.delta)]
+    logs += [math.log(abs(c)) + q * x1 for c, q in ((p.a11, p.q2), (p.a22, p.q1)) if c != 0.0]
+    top = max(logs)
+    log_sum = top + math.log(sum(math.exp(v - top) for v in logs))
+    if log_sum > _LOG_DBL_MAX:
+        raise AnnulusOutOfRange(
+            f"the terms of Delta sum to exp({log_sum:.6g}) at |s| = exp({x1:.6g}), past double range"
+        )
+    return x0, x1
 
 
 def count_unstable_roots(p: CharParams) -> RootCountReport:
@@ -235,81 +247,60 @@ def count_unstable_roots(p: CharParams) -> RootCountReport:
     if not p.delta > 0.0:
         raise DeltaNotPositive(f"contour counting requires delta > 0, got {p.delta!r}")
     b = unstable_root_bounds(p)
-    n, turns, evals, deepest = _winding(p, *_log_annulus(b), -_HALF_PI, _HALF_PI)
+    n, turns, evals, deepest = _winding(p, *_log_annulus(p, b), -_HALF_PI, _HALF_PI)
     return RootCountReport(n, b, evals, turns, deepest)
 
 
-def _real_delta(p: CharParams, t: float) -> float:
-    # Delta restricted to the positive real axis is real-valued
-    if t == 0.0:
-        return p.delta
-    return (
-        t ** (p.q1 + p.q2) - p.a11 * t**p.q2 - p.a22 * t**p.q1 + p.delta
-    )
+def _sign_change_zeros(f: Callable[[float], float], xs: list[float]) -> list[float]:
+    # the zero of f in each [xs[i], xs[i+1]] whose ends differ in sign,
+    # bisected to width 1e-12; f must be monotone on each piece
+    zeros = []
+    pos = [f(x) > 0.0 for x in xs]
+    for lo, hi, pos_lo, pos_hi in zip(xs, xs[1:], pos, pos[1:]):
+        if pos_lo == pos_hi:
+            continue
+        while hi - lo > 1e-12:
+            mid = 0.5 * (lo + hi)
+            if (f(mid) > 0.0) == pos_lo:
+                lo = mid
+            else:
+                hi = mid
+        zeros.append(0.5 * (lo + hi))
+    return zeros
 
 
 def positive_real_roots(p: CharParams) -> list[float]:
-    """Locate the positive real roots of Delta by sign scan plus bisection.
+    """Locate the positive real roots of Delta exactly, in ascending order.
 
-    Candidate abscissae: 1, a11^(1/q1) and a22^(1/q2) when defined (where the
-    two middle terms individually dominate), a logarithmic grid over the
-    unstable-root modulus range when delta > 0 (a wide default range
-    otherwise), and the limit value Delta(0+) = delta as the left sentinel.
-    Each bracketing interval is bisected to 1e-12 relative width.
+    With the orders sorted as a <= b and c_a, c_b the coefficients of t^a
+    and t^b, Delta(e^x) = e^((a+b)x) + c_b*e^(bx) + c_a*e^(ax) + delta, and
+    k(x) = (a+b)*e^(bx) + b*c_b*e^((b-a)x) + a*c_a = e^(-ax) dDelta/dx has
+    the sign of Delta'. k' has one zero at most, where
+    e^(ax) = -(b-a)*c_b/(a+b) (only for c_b < 0 and a < b), so k has two
+    zeros at most and Delta is monotone on the at most three pieces between
+    them. The zeros of k, then the sign changes of Delta, are bisected in
+    x = log t over the count's annulus to width 1e-12, i.e. 1e-12 relative
+    width in t; no sampling is involved. DeltaNotPositive for delta <= 0.
     """
-    samples = {1.0}
-    if p.a11 > 0.0:
-        samples.add(p.a11 ** (1.0 / p.q1))
-    if p.a22 > 0.0:
-        samples.add(p.a22 ** (1.0 / p.q2))
-    if p.delta > 0.0:
-        b = unstable_root_bounds(p)
-        lo, hi = b.l / 2.0, 2.0 * b.L
-    else:
-        lo, hi = 1e-8, 1e8
-    log_lo, log_hi = math.log(lo), math.log(hi)
-    for i in range(_REAL_GRID + 1):
-        samples.add(math.exp(log_lo + (log_hi - log_lo) * i / _REAL_GRID))
-    ts = sorted(samples)
-    # left sentinel at t = 0 carries the limit value delta
-    ts = [0.0] + ts
-    vals = [_real_delta(p, t) for t in ts]
+    if not p.delta > 0.0:
+        raise DeltaNotPositive(f"positive real roots require delta > 0, got {p.delta!r}")
+    x0, x1 = _log_annulus(p, unstable_root_bounds(p))
+    (a, c_a), (b, c_b) = sorted(((p.q1, -p.a22), (p.q2, -p.a11)))
 
-    roots: list[float] = []
-    for i in range(len(ts) - 1):
-        f0, f1 = vals[i], vals[i + 1]
-        if f0 == 0.0:
-            if ts[i] > 0.0:
-                roots.append(ts[i])
-            continue
-        if f0 * f1 >= 0.0:
-            continue
-        a, fa, c = ts[i], f0, ts[i + 1]
-        while c - a > 1e-12 * c:
-            mid = 0.5 * (a + c)
-            if mid <= a or mid >= c:
-                break
-            fm = _real_delta(p, mid)
-            if fm == 0.0:
-                a = c = mid
-                break
-            if fa * fm < 0.0:
-                c = mid
-            else:
-                a, fa = mid, fm
-        roots.append(0.5 * (a + c))
-    if vals[-1] == 0.0:
-        roots.append(ts[-1])
-    return roots
+    def delta(x: float) -> float:
+        ea, eb = math.exp(a * x), math.exp(b * x)
+        return ea * eb + c_b * eb + c_a * ea + p.delta
 
+    def k(x: float) -> float:
+        return (a + b) * math.exp(b * x) + b * c_b * math.exp((b - a) * x) + a * c_a
 
-def has_positive_real_root(p: CharParams) -> bool:
-    """True iff t -> Delta(t) changes sign somewhere on t > 0.
-
-    Works for any delta; a negative delta already forces a root between
-    Delta(0+) = delta < 0 and Delta(+inf) = +inf.
-    """
-    return len(positive_real_roots(p)) > 0
+    k_pieces = [x0, x1]
+    if c_b < 0.0 and a < b:
+        x_crit = (math.log(-c_b) + math.log((b - a) / (a + b))) / a
+        if x0 < x_crit < x1:
+            k_pieces.insert(1, x_crit)
+    pieces = [x0, *_sign_change_zeros(k, k_pieces), x1]
+    return [math.exp(x) for x in _sign_change_zeros(delta, pieces)]
 
 
 def _delta_prime(p: CharParams, s: complex) -> complex:
@@ -357,15 +348,16 @@ def polish_unstable_roots(
 ) -> list[complex]:
     """Locate all `expected` roots behind a winding count, or raise.
 
-    Positive real roots come from positive_real_roots. The complex pairs lie
-    in the part [t_b, pi/2] of count_unstable_roots' log-plane rectangle,
-    for the first t_b in 1e-3, 1e-6, ... that holds all of them. Cells are
-    halved along their longer side in w, one half recounted and the other
-    given the remainder, until a cell holds one root; Newton on Delta(e^w)
-    from its centre must keep every iterate in the cell and bring the
-    residual to 1e-11 (1e-9 after 80 steps) of the term magnitudes, or the
-    cell is split again. Conjugates are mirrored. Returns exactly `expected`
-    roots sorted by (real, imag), or raises RefinementLimit (or
+    Positive real roots come from positive_real_roots, which isolates them
+    exactly between Delta's critical points on the real axis. The complex
+    pairs lie in the part [t_b, pi/2] of count_unstable_roots' log-plane
+    rectangle, for the first t_b in 1e-3, 1e-6, ... that holds all of them.
+    Cells are halved along their longer side in w, one half recounted and
+    the other given the remainder, until a cell holds one root; Newton on
+    Delta(e^w) from its centre must keep every iterate in the cell and bring
+    the residual to 1e-11 (1e-9 after 80 steps) of the term magnitudes, or
+    the cell is split again. Conjugates are mirrored. Returns exactly
+    `expected` roots sorted by (real, imag), or raises RefinementLimit (or
     ContourThroughRoot, for a cell edge through a root).
     """
     if expected is None:
@@ -378,7 +370,7 @@ def polish_unstable_roots(
         raise RefinementLimit(f"{len(real)} positive real roots do not fit a count of {expected}")
     found = [complex(r, 0.0) for r in real]
     if pairs:
-        x0, x1 = _log_annulus(unstable_root_bounds(p))
+        x0, x1 = _log_annulus(p, unstable_root_bounds(p))
         for t_b in (1e-3, 1e-6, 1e-9, 1e-12):
             if _winding(p, x0, x1, t_b, _HALF_PI)[0] == pairs:
                 break

@@ -103,6 +103,9 @@ def test_exit_code_table(capsys):
         (EXIT_MARGINAL, ["roots", "--a11=-11.640755224148691", "--a22", "33.9244766331865",
                          "--delta", "0.010662504021753762", "--q1", "0.011535429321214173",
                          "--q2", "0.513678314337231"]),
+        # L = 1e200 at orders (1, 1): s^2 leaves double range on the outer arc
+        (EXIT_MARGINAL, ["roots", "--a11", "1e200", "--a22", 0, "--delta", 1,
+                         "--q1", 1, "--q2", 1]),
         (EXIT_MARGINAL, ["classify", "--a11", SQRT2, "--a12", 1, "--a21", -2,
                          "--a22", SQRT2, "--q1", "0.5", "--q2", "0.5"]),
         (EXIT_MARGINAL, ["classify", "--a11", 1, "--a12", 1, "--a21", 1, "--a22", 1,

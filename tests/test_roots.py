@@ -20,7 +20,6 @@ from fracstab import (
     count_unstable_roots,
     curve_point,
     delta_eval,
-    has_positive_real_root,
     matignon_stable,
     polish_unstable_roots,
     positive_real_roots,
@@ -151,6 +150,8 @@ def test_count_rejects_on_curve_input():
 
 
 def test_count_parity_without_real_roots():
+    # complex roots come in conjugate pairs, so the count less the positive
+    # real roots is even and nonnegative
     rng = np.random.default_rng(77)
     checked = 0
     for _ in range(100):
@@ -162,10 +163,11 @@ def test_count_parity_without_real_roots():
             rep = count_unstable_roots(p)
         except (ContourThroughRoot, RefinementLimit):
             continue
-        if not has_positive_real_root(p):
-            assert rep.n_unstable % 2 == 0
-            checked += 1
-    assert checked > 50
+        n_real = len(positive_real_roots(p))
+        assert n_real <= rep.n_unstable
+        assert (rep.n_unstable - n_real) % 2 == 0
+        checked += 1
+    assert checked > 90
 
 
 def test_count_locally_constant():
@@ -199,10 +201,63 @@ def test_count_step_across_curve():
 
 
 def test_positive_real_root_detection():
-    assert has_positive_real_root(CharParams(0.3, -0.2, -1.0, 0.5, 0.7))
-    assert has_positive_real_root(CharParams(3.0, 3.0, 4.0, 0.7, 0.9))  # Delta(1) = -1
-    assert not has_positive_real_root(CharParams(-1.0, -1.0, 1.0, 0.5, 0.25))
-    assert not has_positive_real_root(CharParams(-1.0, -1.0, 1.0, 0.9, 0.35))
+    with pytest.raises(DeltaNotPositive):
+        positive_real_roots(CharParams(0.3, -0.2, -1.0, 0.5, 0.7))
+    roots = positive_real_roots(CharParams(3.0, 3.0, 4.0, 0.7, 0.9))  # Delta(1) = -1
+    assert len(roots) == 2 and roots[0] < 1.0 < roots[1]
+    assert positive_real_roots(CharParams(-1.0, -1.0, 1.0, 0.5, 0.25)) == []
+    assert positive_real_roots(CharParams(-1.0, -1.0, 1.0, 0.9, 0.35)) == []
+
+
+def test_positive_real_roots_close_pair_far_out():
+    # a time-scaled system whose two real roots, 17x apart, fall in one step
+    # of a 200-point log grid over its 550-decade annulus; the values are
+    # mpmath roots at 50 digits
+    p = CharParams(-1739897757.7319639, 3.1103385705443225, 11585010600.538202,
+                   0.77078803447456, 0.03217496083944806)
+    assert positive_real_roots(p) == pytest.approx([8.3952328447975e13, 1.4632885944889578e15], rel=1e-10)
+
+
+def test_positive_real_roots_complete_on_dense_grid():
+    # oracle: Delta on 2000 log-spaced points of the counted annulus, in
+    # numpy, must change sign exactly at the returned roots
+    rng = np.random.default_rng(41)
+    nroots = 0
+    for _ in range(200):
+        a11, a22 = rng.uniform(-20.0, 20.0, size=2)
+        delta = 10.0 ** rng.uniform(-3.0, 3.0)
+        q1, q2 = rng.uniform(0.01, 1.0, size=2)
+        c = 10.0 ** rng.uniform(-6.0, 6.0)
+        p = CharParams(a11 * c**q1, a22 * c**q2, delta * c ** (q1 + q2), q1, q2)
+        b = unstable_root_bounds(p)
+        roots = positive_real_roots(p)
+        nroots += len(roots)
+
+        def delta_and_majorant(t):
+            terms = (t ** (p.q1 + p.q2), -p.a11 * t**p.q2, -p.a22 * t**p.q1, p.delta)
+            return sum(terms), sum(np.abs(term) for term in terms)
+
+        t = np.exp(np.linspace(math.log(b.l * (1 - 1e-3)), math.log(b.L * (1 + 1e-3)), 2000))
+        assert roots == sorted(roots)
+        assert all(t[0] < r < t[-1] for r in roots)
+        for r in roots:
+            d, m = delta_and_majorant(r)
+            assert abs(d) <= 1e-10 * m
+        d, m = delta_and_majorant(t)
+        # Delta(0+) = delta > 0, and each simple root flips the sign
+        want = np.where(np.searchsorted(roots, t) % 2 == 0, 1.0, -1.0)
+        decided = np.abs(d) > 1e-10 * m
+        assert np.array_equal(np.sign(d[decided]), want[decided])
+    assert nroots >= 100
+
+
+def test_terms_past_double_range():
+    # L = 1e200 at orders (1, 1): the s^2 term reaches 1e400 on the outer arc
+    p = CharParams(1e200, 0.0, 1.0, 1.0, 1.0)
+    assert unstable_root_bounds(p).L == pytest.approx(1e200)
+    for f in (count_unstable_roots, polish_unstable_roots, positive_real_roots):
+        with pytest.raises(AnnulusOutOfRange):
+            f(p)
 
 
 def test_positive_real_roots_reference_values():
