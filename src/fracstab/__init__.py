@@ -56,6 +56,7 @@ from .errors import (
     NotDecaying,
     NotRational,
     RefinementLimit,
+    SingularStep,
     StepCap,
 )
 from .roots import (
@@ -132,5 +133,6 @@ __all__ = [
     "NotRational",
     "DimensionCap",
     "StepCap",
+    "SingularStep",
     "NotDecaying",
 ]

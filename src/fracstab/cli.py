@@ -52,6 +52,7 @@ from .errors import (
     DomainError,
     NotDecaying,
     RefinementLimit,
+    SingularStep,
     StepCap,
 )
 from .roots import count_unstable_roots
@@ -392,7 +393,7 @@ def main(argv=None) -> int:
     except (DeltaNotPositive, DomainError) as exc:
         _err(f"data error: {exc}")
         return EXIT_DATA
-    except (DeltaZeroUnclassified, ContourThroughRoot, AnnulusOutOfRange) as exc:
+    except (DeltaZeroUnclassified, ContourThroughRoot, AnnulusOutOfRange, SingularStep) as exc:
         _err(f"unclassified: {exc}")
         return EXIT_MARGINAL
     except StepCap as exc:

@@ -55,3 +55,7 @@ class StepCap(FracstabError):
 
 class NotDecaying(FracstabError):
     """Decay estimation was asked for a trajectory whose norm did not shrink."""
+
+
+class SingularStep(FracstabError):
+    """The implicit step's matrix I - Wc A is singular to rounding, or its determinant is not finite."""

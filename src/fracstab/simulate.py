@@ -1,20 +1,25 @@
 """Trajectory integration for the two-dimensional multi-order Caputo IVP.
 
-The integrator is the fractional Adams-Bashforth-Moulton predictor-corrector
-(PECE, one corrector sweep) applied per component with that component's own
-order: product-rectangle weights for the predictor, product-trapezoid weights
-for the corrector, and the full memory term. With f = A x,
+The integrator is the implicit fractional product-trapezoidal rule, the
+Adams-Moulton corrector of the fractional Adams-Bashforth-Moulton method
+solved exactly (Garrappa, Math. Comput. Simul. 110, 2015). It is applied per
+component with that component's own order, with the full memory term. With
+f = A x,
 
-    predictor  x^P_{n+1} = x0 + h^q/G(q+1) * sum_{j<=n} d_{n-j} f_j,
-               d_m = (m+1)^q - m^q,
-    corrector  x_{n+1}   = x0 + h^q/G(q+2) * ( f(x^P_{n+1}) + a_{0,n} f_0
-                           + sum_{1<=j<=n} c_{n-j} f_j ),
-               a_{0,n} = n^(q+1) - (n-q)(n+1)^q,
-               c_m = (m+2)^(q+1) + m^(q+1) - 2(m+1)^(q+1).
+    x_{n+1} = x0 + h^q/G(q+2) * ( f_{n+1} + a_{0,n} f_0 + sum_{1<=j<=n} c_{n-j} f_j ),
+    a_{0,n} = n^(q+1) - (n-q)(n+1)^q,
+    c_m     = (m+2)^(q+1) + m^(q+1) - 2(m+1)^(q+1).
+
+f is linear, so each step is one solve with the same 2 x 2 matrix
+M = I - Wc A, Wc = diag(h^q/G(q+2)). SingularStep is raised when det M is
+zero to rounding or not finite. The implicit step's stability region is far
+larger than an explicit predictor's, so stiff stable systems need no small
+h. In turn it can damp an unstable root s that the step does not resolve,
+h |s| > 1, so a growing system then may look decaying.
 
 As written, each weight is a difference of terms up to m^2 times larger than
-itself; `_weights` evaluates all three in forms that do not cancel (expm1 and
-log1p, and series in 1/m for c_m and a_{0,n}), to about 1e-14 relative.
+itself; `_weights` evaluates both in forms that do not cancel (expm1 and
+log1p, and series in 1/m), to about 1e-14 relative.
 
 No short-memory truncation: the decay checks downstream rely on the exact
 tail behavior. The memory sums are convolutions, so they are split over a
@@ -23,26 +28,21 @@ Comput. 6, 1985; Garrappa, Mathematics 6(2):16, 2018): once the left half of
 a larger block is known, its share of the sums of the right half is added by
 FFT. That costs O(N log^2 N) instead of O(N^2), with the same weights.
 
-f = A x is linear, so a step is x_{n+1} = g_n + sum_{n0<=j<=n} K_{n-j} x_j
-with the step kernels K_m = Wc (A Wp D_m + C_m) A, Wp = diag(h^q/G(q+1)),
-Wc = diag(h^q/G(q+2)), D_m = diag(d_m), C_m = diag(c_m), and g_n holding
-the known terms. The far field of a step only enters through that sum, so
-it is kept as one pair per step, and the FFT of a tree level convolves the
-x block with the spectrum of K_m, m < 2b: two forward and two inverse real
-transforms per block. Each level's spectrum is built on its first block and
-dropped after its last.
+A step is x_{n+1} = g_n + sum_{n0<=j<=n} K_{n-j} x_j with the step kernels
+K_m = M^-1 Wc C_m A, C_m = diag(c_m), and g_n = M^-1 (x0 + Wc (a_{0,n} - c_n)
+f_0) holding the known terms. The far field of a step only enters through
+that sum, so it is kept as one pair per step, and the FFT of a tree level
+convolves the x block with the spectrum of K_m, m < 2b: two forward and two
+inverse real transforms per block. Each level's spectrum is built on its
+first block and dropped after its last.
 
 Inside one base block the steps are solved together rather than one by one.
 The unknowns z_r = x_{n0+r+1} of the block solve the same unit lower
 triangular block-Toeplitz system in every block, whose inverse is the
 discrete resolvent R_0 = I, R_m = sum_{i<m} K_{m-1-i} R_i, computed once per
-run. A block is z = R * rhs, a direct convolution cut to the block. A second
-such solve, on the residual of the PECE steps as written above, makes the
-states at least as accurate as a step-by-step loop; with the merged kernels
-K alone, runs where the scheme itself is unstable drifted from it by more
-than 1e-12 of the largest state. Where R_m leaves [-1e300, 1e300] before
-the end of a block, blocks are solved in pieces short enough for R to stay
-finite.
+run. A block is z = R * rhs, a direct convolution cut to the block. Where
+R_m leaves [-1e300, 1e300] before the end of a block, blocks are solved in
+pieces short enough for R to stay finite.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chareq import SystemSpec
-from .errors import NotDecaying, StepCap
+from .errors import NotDecaying, SingularStep, StepCap
 
 __all__ = ["Trajectory", "DecayEstimate", "integrate", "estimate_decay", "STEP_CAP"]
 
@@ -68,8 +68,8 @@ _BLOCK = 256
 _OVERFLOW_LIMIT = 1e300
 
 _METHOD_NOTE = (
-    "fractional Adams-Bashforth-Moulton PECE, per-component orders, "
-    "full memory, one corrector sweep"
+    "implicit fractional product-trapezoidal rule (Adams-Moulton corrector "
+    "solved exactly), per-component orders, full memory"
 )
 
 
@@ -105,7 +105,8 @@ def integrate(
 ) -> Trajectory:
     """Integrate the IVP from x(0) = x0 on the uniform grid with step h.
 
-    Deterministic; raises StepCap when t_end/h exceeds 2e5 grid steps. The
+    Deterministic; raises StepCap when t_end/h exceeds 2e5 grid steps and
+    SingularStep when the step's matrix I - Wc A is singular to rounding. The
     trajectory is truncated with overflowed=True as soon as a state component
     leaves the finite range (growth past 1e300).
     """
@@ -124,27 +125,31 @@ def integrate(
     n_steps = int(math.ceil(t_end / h - 1e-12))
     qs = (s.q1, s.q2)
     amat = np.array([[s.a11, s.a12], [s.a21, s.a22]])
-    wp = np.array([h**q / math.gamma(q + 1.0) for q in qs])
     wc = np.array([h**q / math.gamma(q + 2.0) for q in qs])
+    # M = I - Wc A, as Python floats, whose products overflow to inf quietly
+    (m00, m01), (m10, m11) = (np.eye(2) - wc[:, None] * amat).tolist()
+    det = m00 * m11 - m01 * m10
+    if not (math.isfinite(det) and abs(det) > 4.0 * math.ulp(1.0) * (abs(m00 * m11) + abs(m01 * m10))):
+        raise SingularStep(
+            f"det(I - Wc A) = {det:.6g} at h = {h!r} is zero to rounding or "
+            "not finite, so the implicit step has no unique solution"
+        )
+    # the solve of each step, folded into the kernels and the known terms
+    inv = np.array([[m11, -m01], [-m10, m00]]) / det
+    mw = inv * wc
     weights = _weights(qs, max(n_steps, _BLOCK))
 
     x = np.empty((n_steps + 1, 2))
     x[0] = x_init
     f0 = amat @ x_init
-    base = x_init + wc * f0
-    # far[n]: what the steps before n's block add to step n's corrector,
-    # Wc (A Wp P + C) for their predictor sums P and corrector sums C. C runs
-    # from j = 0, so far starts at Wc (a_{0,n} - c_n) f_0, which adds the
-    # a_{0,n} f_0 term and cancels the c_n f_0 one.
-    far = (wc * (weights[2, :, :n_steps] - weights[1, :, :n_steps]).T) * f0
-    # rows d_1, d_2, c_1, c_2; a_{0,n} is not needed past far
-    dc = weights[:2].reshape(4, -1).copy()
+    # far[n]: the known terms of step n, g_n, plus what the steps before n's
+    # block add to it, M^-1 Wc C f for their sums C f. C runs from j = 0, so
+    # g_n = M^-1 (x0 + Wc (a_{0,n} - c_n) f_0) adds the a_{0,n} f_0 term and
+    # cancels the c_n f_0 one.
+    far = inv @ x_init + ((weights[1, :, :n_steps] - weights[0, :, :n_steps]).T * f0) @ mw.T
+    # a_{0,n} is not needed past far
+    c = weights[0].copy()
     del weights
-
-    def pece(known, sums):
-        # a block's PECE steps as a step-by-step loop evaluates them, from
-        # the in-block d and c sums, sums[kind, component]
-        return known + (wc[:, None] * (amat @ (wp[:, None] * sums[0]) + sums[1])).T
 
     # spectra[b]: rfft of K_m, m < 2b, for the blocks of length b added by
     # FFT; built on a level's first block and dropped after its last one
@@ -152,34 +157,25 @@ def integrate(
 
     last = n_steps
     with np.errstate(over="ignore", invalid="ignore"):
-        # K_m = kern[:, :, m] = (basis @ dc[:, m]).reshape(2, 2)
-        basis = _kernel_basis(amat, wp, wc)
-        kern = (basis @ dc[:, : min(_BLOCK, n_steps)]).reshape(2, 2, -1)
+        # K_m = M^-1 Wc C_m A = kern[:, :, m] = (basis @ c[:, m]).reshape(2, 2)
+        basis = (mw[:, None, :] * amat.T).reshape(4, 2)
+        kern = (basis @ c[:, : min(_BLOCK, n_steps)]).reshape(2, 2, -1)
         res = _resolvent(kern)
         for n0 in range(0, n_steps, _BLOCK):
             if n0:
                 b = n0 & -n0
                 spectrum = spectra.pop(b, None)
                 if spectrum is None:
-                    spectrum = np.fft.rfft((basis @ dc[:, : 2 * b]).reshape(2, 2, -1), 2 * b)
+                    spectrum = np.fft.rfft((basis @ c[:, : 2 * b]).reshape(2, 2, -1), 2 * b)
                 _add_far_field(far, spectrum, x, n0)
                 if n0 + 2 * b < n_steps:
                     spectra[b] = spectrum
             count = min(_BLOCK, n_steps - n0)
-            # the terms of the block's PECE steps that x_1, x_2, ... do not
-            # change: x_0, f(x_0) and the steps before the block
-            known = base + far[n0 : n0 + count]
-            # two sweeps, the first seeing x_{n0} alone (its sums are one
-            # product) and the second the whole block; each adds the solution
-            # of the block system for the residual of the PECE steps
+            # the block's steps z_r = x_{n0+r+1} are far_{n0+r} + K_r x_{n0}
+            # + sum_{i<r} K_{r-1-i} z_i
+            rhs = far[n0 : n0 + count] + x[n0] @ kern[:, :, :count].T
             z = x[n0 + 1 : n0 + 1 + count]
-            sums = dc[:, :count].reshape(2, 2, count) * (amat @ x[n0])[:, None]
-            z[:] = _solve_block(res, kern, pece(known, sums))
-            f = amat @ x[n0 : n0 + count].T
-            for k in (0, 1):
-                for i in (0, 1):
-                    sums[k, i] = np.convolve(dc[2 * k + i, :count], f[i])[:count]
-            z += _solve_block(res, kern, pece(known, sums) - z)
+            z[:] = _solve_block(res, kern, rhs)
             if not np.max(np.abs(z)) <= _OVERFLOW_LIMIT:
                 inside = np.all(np.abs(z) <= _OVERFLOW_LIMIT, axis=1)
                 last = n0 + int(np.argmin(inside))
@@ -192,15 +188,6 @@ def integrate(
         method_order_note=_METHOD_NOTE,
         overflowed=last < n_steps,
     )
-
-
-def _kernel_basis(amat: np.ndarray, wp: np.ndarray, wc: np.ndarray) -> np.ndarray:
-    """The step kernels K_m = Wc (A Wp D_m + C_m) A, D_m = diag(d_m) and
-    C_m = diag(c_m), are linear in (d_1, d_2, c_1, c_2)_m: the (4, 4) matrix
-    of that map, rows i j and columns kind l."""
-    pred = wc[:, None, None] * amat[:, None, :] * (wp[:, None] * amat).T
-    corr = (wc[:, None] * amat)[:, :, None] * np.eye(2)[:, None, :]
-    return np.concatenate((pred, corr), axis=2).reshape(4, 4)
 
 
 def _resolvent(kern: np.ndarray) -> np.ndarray:
@@ -257,12 +244,11 @@ def _horner(coefs: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _weights(qs: tuple[float, float], length: int) -> np.ndarray:
-    """The ABM weights w[kind, component, m], m < length: kind 0 holds the
-    predictor's d_m, kind 1 the corrector's c_m and kind 2 its a_{0,m}.
+    """The product-trapezoid weights w[kind, component, m], m < length: kind
+    0 holds c_m and kind 1 a_{0,m}.
 
     Each is a difference of terms up to m^2 times larger than itself, so
     each is evaluated in a form that does not cancel:
-        d_m     = m^q expm1(q log1p(1/m)),
         c_m     = 2 (m+1)^(q+1) sum_{k>=1} C(q+1, 2k) (m+1)^(-2k), and for
                   m < 4 the second difference of x^(q+1) = x + x expm1(q log x),
         a_{0,n} = -n^(q+1) expm1(L), L = log1p(-q/n) + q log1p(1/n), with L
@@ -273,17 +259,13 @@ def _weights(qs: tuple[float, float], length: int) -> np.ndarray:
     """
     q = np.array(qs)[:, None]
     m = np.arange(length, dtype=float)
-    w = np.empty((3, 2, length))
-    d, c, a0 = w
+    w = np.empty((2, 2, length))
+    c, a0 = w
     with np.errstate(divide="ignore", invalid="ignore"):
-        # a0 holds m^q until its own turn
-        np.power(m, q, out=a0)
-        np.multiply(q, np.log1p(1.0 / m), out=d)
-        np.expm1(d, out=d)
-        d *= a0
-        d[:, 0] = 1.0
         # c_m: from m = 4 on consecutive terms of the series shrink by more
-        # than 25 times, and 15 terms reach the last bit; (m+1)^q = m^q + d_m
+        # than 25 times, and 15 terms reach the last bit; c holds (m+1)^q
+        # until the series multiplies it
+        np.power(m + 1.0, q, out=c)
         head = m[:4]
         c[:, :4] = (
             (head + 2.0) * np.expm1(q * np.log(head + 2.0))
@@ -294,12 +276,12 @@ def _weights(qs: tuple[float, float], length: int) -> np.ndarray:
         j = np.arange(30.0)
         binom = np.cumprod((q - (j - 1.0)) / (j + 1.0), axis=1)
         r = 1.0 / (m[4:] + 1.0)
-        _horner(binom[:, 1::2], r * r, out=c[:, 4:])
+        c[:, 4:] *= _horner(binom[:, 1::2], r * r, out=np.empty((2, len(r))))
         c[:, 4:] *= 2.0 * r
-        c[:, 4:] *= a0[:, 4:] + d[:, 4:]
-        # a_{0,n}: a_{0,0} = q; at q = 1, n = 1 the log1p form reads
-        # expm1(-inf) = -1, which is exact; from n = 16 on, 14 terms of the
-        # series reach the last bit
+        # a_{0,n} = -n^q n expm1(L): a_{0,0} = q; at q = 1, n = 1 the log1p
+        # form reads expm1(-inf) = -1, which is exact; from n = 16 on, 14
+        # terms of the series reach the last bit
+        np.power(m, q, out=a0)
         head = m[:16]
         a0[:, :16] *= -head * np.expm1(np.log1p(-q / head) + q * np.log1p(1.0 / head))
         a0[:, 0] = qs

@@ -123,6 +123,18 @@ def test_exit_code_table(capsys):
                        "--q1", "0.5", "--q2", "0.5"]),
         (EXIT_UNSTABLE, ["roots", "--a11", "0.00001", "--a22", "0.1", "--a12", 1,
                          "--a21", "-2.2e-3", "--q1", "0.25", "--q2", "0.5"]),
+        # stable systems (StableAllOrders) on which an explicit step at this h
+        # overflows: a small order, and stiff entries
+        (EXIT_STABLE, ["simulate", "--a11=-3.350777864736043", "--a12", 1,
+                       "--a21=-4.399660179488513", "--a22=-0.38042090466135825",
+                       "--q1", "0.09090909090909091", "--q2", "0.7272727272727273",
+                       "--x0", 1, "--y0", 1, "--t-end", 100, "--h", "0.01"]),
+        (EXIT_STABLE, ["simulate", "--a11=-100", "--a12", 0, "--a21", 0, "--a22=-100",
+                       "--q1", "0.9", "--q2", "0.6", "--x0", 1, "--y0", 1,
+                       "--t-end", 100, "--h", "0.01"]),
+        # I - Wc A is singular at h = 1: the implicit step has no solution
+        (EXIT_MARGINAL, ["simulate", "--a11", 2, "--a12", 0, "--a21", 0, "--a22", 2,
+                         "--q1", 1, "--q2", 1, "--x0", 1, "--y0", 1, "--t-end", 10, "--h", 1]),
     ]
     for want, args in cases:
         code, _, _ = run_cli(capsys, *args)
@@ -393,7 +405,7 @@ def test_simulate_reference_short_horizon(capsys):
     [
         # the stable reference run, 20001 rows
         (SystemSpec(0.00001, 1.0, -0.0022, 0.1, 0.5, 0.25), (1.0, 1.0), 5e4, 2.5),
-        # truncated by overflow after 97 rows
+        # each step multiplies the states by -26/24: 301 rows up to 2.7e10
         (SystemSpec(50.0, 0.0, 0.0, 50.0, 1.0, 1.0), (1.0, 1.0), 300.0, 1.0),
         # -0.0, 1e-300-scale and subnormal states
         (SystemSpec(-1.0, 0.0, 1e-10, -1.0, 0.5, 0.5), (1e-300, -0.0), 5.0, 0.01),

@@ -1,4 +1,4 @@
-"""Tests for the fractional predictor-corrector integrator and decay fits."""
+"""Tests for the implicit fractional product-trapezoid integrator and decay fits."""
 
 import math
 import tracemalloc
@@ -10,6 +10,7 @@ import pytest
 from fracstab import (
     CurveParams,
     NotDecaying,
+    SingularStep,
     StepCap,
     SystemSpec,
     VerdictKind,
@@ -19,6 +20,7 @@ from fracstab import (
     integrate,
     region_membership,
 )
+from fracstab import simulate
 from fracstab.simulate import _BLOCK, _weights
 
 REF_A = dict(a11=0.00001, a12=1.0, a21=-0.0022, a22=0.1)
@@ -30,29 +32,28 @@ MIXED = SystemSpec(-1.0, 0.5, -0.5, -0.8, 0.6, 0.9)
 
 
 def direct_integrate(s, x0, t_end, h):
-    """Reference ABM PECE: the same weights summed directly, O(N^2).
+    """Reference implicit product-trapezoid rule: the same weights summed
+    directly, O(N^2), and each step's 2 x 2 system solved by itself.
 
     Returns (states, overflowed); integrate must agree with it. The weights
-    d_m, c_m and a_{0,n} come from `_weights`, which test_weights_match_mpmath
+    c_m and a_{0,n} come from `_weights`, which test_weights_match_mpmath
     checks against 50-digit values.
     """
     n_steps = int(math.ceil(t_end / h - 1e-12))
     a = np.array([[s.a11, s.a12], [s.a21, s.a22]])
     qs = (s.q1, s.q2)
-    d_ker, c_ker, a0_ker = _weights(qs, n_steps + 1)
-    w_pred = np.array([h**q / math.gamma(q + 1.0) for q in qs])
+    c_ker, a0_ker = _weights(qs, n_steps + 1)
     w_corr = np.array([h**q / math.gamma(q + 2.0) for q in qs])
+    m = np.eye(2) - w_corr[:, None] * a
     x_init = np.asarray(x0, dtype=float)
     x = np.empty((n_steps + 1, 2))
     f = np.empty((n_steps + 1, 2))
     x[0] = x_init
     f[0] = a @ x_init
     for n in range(n_steps):
-        mem_p = np.array([np.dot(d_ker[i][: n + 1][::-1], f[: n + 1, i]) for i in (0, 1)])
-        f_pred = a @ (x_init + w_pred * mem_p)
         a0 = a0_ker[:, n]
-        mem_c = np.array([np.dot(c_ker[i][:n][::-1], f[1 : n + 1, i]) for i in (0, 1)])
-        x[n + 1] = x_init + w_corr * (f_pred + a0 * f[0] + mem_c)
+        mem = np.array([np.dot(c_ker[i][:n][::-1], f[1 : n + 1, i]) for i in (0, 1)])
+        x[n + 1] = np.linalg.solve(m, x_init + w_corr * (a0 * f[0] + mem))
         if not np.all(np.isfinite(x[n + 1])) or np.max(np.abs(x[n + 1])) > 1e300:
             return x[: n + 1], True
         f[n + 1] = a @ x[n + 1]
@@ -218,6 +219,75 @@ def test_verdict_corroboration():
             assert traj.overflowed or norms[-1] > norms[0], (s, v.margin, norms[-1])
 
 
+def draw_commensurate(rng, unstable):
+    """A system a12 = 1, a21 = a11 a22 - delta at orders k1/n, k2/n whose
+    unstable characteristic roots are present or absent as asked, with every
+    root at least 1e-3 (in n arg z) from the stability edge. Returns the
+    system and its unstable roots s.
+
+    In z = s^(1/n) the characteristic equation is the polynomial
+    z^(k1+k2) - a22 z^k1 - a11 z^k2 + delta; a root is on the principal
+    sheet when |arg z| < pi/n and unstable when |arg z| < pi/(2n).
+    """
+    while True:
+        n = int(rng.integers(2, 21))
+        k1, k2 = (int(k) for k in rng.integers(1, n + 1, size=2))
+        a11, a22 = rng.uniform(-5.0, 5.0, size=2)
+        delta = rng.uniform(0.01, 10.0)
+        coeffs = np.zeros(k1 + k2 + 1)
+        coeffs[0] = 1.0
+        coeffs[k2] -= a22
+        coeffs[k1] -= a11
+        coeffs[-1] += delta
+        z = np.roots(coeffs)
+        arg = np.abs(np.angle(z))
+        if np.any(np.abs(n * arg[arg < math.pi / n] - 0.5 * math.pi) < 1e-3):
+            continue
+        roots = z[arg < 0.5 * math.pi / n] ** n
+        if (roots.size > 0) is unstable:
+            return SystemSpec(a11, 1.0, a11 * a22 - delta, a22, k1 / n, k2 / n), roots
+
+
+def test_stable_commensurate_systems_do_not_overflow():
+    # stable systems, some with small orders or stiff entries: the implicit
+    # step stays bounded, where an explicit PECE step overflowed on 15 of
+    # these 100 draws
+    rng = np.random.default_rng(17)
+    for _ in range(100):
+        s, _ = draw_commensurate(rng, unstable=False)
+        assert not integrate(s, (1.0, 1.0), 100.0, 0.01).overflowed, s
+
+
+def test_unstable_commensurate_systems_grow():
+    # the other direction: where the step resolves the unstable roots,
+    # h |s| <= 1, no unstable system may decay
+    rng = np.random.default_rng(16)
+    h = 0.01
+    checked = 0
+    while checked < 100:
+        s, roots = draw_commensurate(rng, unstable=True)
+        if h * np.max(np.abs(roots)) > 1.0:
+            continue
+        checked += 1
+        t_end = min(2e4 * h, max(50.0, 40.0 / np.max(roots.real)))
+        traj = integrate(s, (1.0, 1.0), t_end, h)
+        norms = traj.norms()
+        assert traj.overflowed or norms[-1] > norms[0], (s, roots)
+
+
+def test_singular_step():
+    # I - Wc A = 0: q = 1 and h a / 2 = 1
+    with pytest.raises(SingularStep):
+        integrate(SystemSpec(2.0, 0.0, 0.0, 2.0, 1.0, 1.0), (1.0, 1.0), 10.0, 1.0)
+    # zero to rounding: I - Wc A = [[3, 1], [1, 1/3 + 1.7e-16]], whose det
+    # 4.4e-16 is within 4 eps of its terms
+    with pytest.raises(SingularStep):
+        integrate(SystemSpec(-4.0, -2.0, -2.0, 1.333333333333333, 1.0, 1.0), (1.0, 1.0), 10.0, 1.0)
+    # its terms overflow a double
+    with pytest.raises(SingularStep):
+        integrate(SystemSpec(1e200, 0.0, 0.0, 1e200, 1.0, 1.0), (1.0, 1.0), 10.0, 1.0)
+
+
 def test_bitwise_determinism():
     a = integrate(REF_GROWING, (1.0, 1.0), 10.0, 0.01)
     b = integrate(REF_GROWING, (1.0, 1.0), 10.0, 0.01)
@@ -233,6 +303,9 @@ def test_bitwise_determinism():
         (REF_STABLE, (1.0, 1.0), 2.5),
         (REF_GROWING, (1.0, 1.0), 0.05),
         (MIXED, (1.0, 0.5), 0.01),
+        # small orders: the kernels decay like m^(q-1), so a block's solve
+        # sums many terms of like size
+        (SystemSpec(-4.0, -3.0, 2.5, 1.5, 0.1, 0.1), (-1.0, -0.5), 0.25),
     ],
 )
 @pytest.mark.parametrize(
@@ -253,7 +326,7 @@ def test_matches_direct_sum(s, x0, h, steps):
     "s, x0, t_end, h, rows, overflowed",
     [
         # grows past 1e300 and truncates after the same step as the direct sum
-        (SystemSpec(5.0, 0.0, 0.0, 5.0, 1.0, 1.0), (1.0, 1.0), 200.0, 0.01, 13822, True),
+        (SystemSpec(5.0, 0.0, 0.0, 5.0, 1.0, 1.0), (1.0, 1.0), 200.0, 0.01, 13813, True),
         # decays from 1e300: a block of f summed by FFT would overflow unscaled
         (
             SystemSpec(-4000.0, 0.0, 0.0, -4000.0, 1.0, 1.0),
@@ -272,23 +345,28 @@ def test_matches_direct_sum_near_overflow(s, x0, t_end, h, rows, overflowed):
 @pytest.mark.parametrize(
     "s, x0, t_end, h, rows, overflowed",
     [
-        # the block resolvent passes 1e300 long before the states do, so each
-        # block is solved in pieces short enough for the resolvent to stay finite
-        (SystemSpec(50.0, 0.0, 0.0, 50.0, 1.0, 1.0), (1e-100, 1e-100), 300.0, 1.0, 129, True),
-        (SystemSpec(50.0, 0.0, 0.0, 50.0, 1.0, 1.0), (1.0, 1.0), 300.0, 1.0, 97, True),
-        (SystemSpec(3.0, 1.0, -2.0, 4.0, 0.3, 0.8), (1e-200, 1e-200), 600.0, 2.0, 301, False),
-        # A has eigenvalues -1 and -1.5, but at q = 0.1 this step makes the
-        # scheme itself unstable and the states grow to 1e100; solving the
-        # blocks with the resolvent of the merged step kernels alone drifted
-        # 2.3e-12 from the direct sum here
-        (SystemSpec(-4.0, -3.0, 2.5, 1.5, 0.1, 0.1), (-1.0, -0.5), 125.0, 0.25, 501, False),
+        # I - Wc A is near singular, so each step multiplies the states by up
+        # to 4e4 and the block resolvent passes 1e300 long before the states
+        # do: each block is solved in pieces short enough for it to stay finite
+        (SystemSpec(2.0001, 0.0, 0.0, 2.0001, 1.0, 1.0), (1e-250, 1e-250), 300.0, 1.0, 120, True),
+        (SystemSpec(0.95, 0.0, -2.0, -1.0, 0.3, 0.8), (1e-200, 1e-200), 600.0, 2.0, 220, True),
+        (SystemSpec(0.96, 0.0, -2.0, -1.0, 0.3, 0.8), (1e-300, 1e-300), 600.0, 2.0, 301, False),
     ],
 )
-def test_block_solve_matches_direct_sum(s, x0, t_end, h, rows, overflowed):
+def test_block_solve_matches_direct_sum(monkeypatch, s, x0, t_end, h, rows, overflowed):
+    spans = []
+
+    def resolvent(kern, _resolvent=simulate._resolvent):
+        res = _resolvent(kern)
+        spans.append(res.shape[2])
+        return res
+
+    monkeypatch.setattr(simulate, "_resolvent", resolvent)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         traj = integrate(s, x0, t_end, h)
     ref, ref_overflowed = direct_integrate(s, x0, t_end, h)
+    assert len(spans) == 1 and spans[0] < _BLOCK
     assert len(traj.states) == len(ref) == rows
     assert traj.overflowed is ref_overflowed is overflowed
     assert np.max(np.abs(traj.states - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -313,7 +391,52 @@ def test_matches_direct_sum_random():
         assert traj.states.shape == ref.shape, (s, x0, h, steps)
         assert traj.overflowed is ref_overflowed, (s, x0, h, steps)
         assert np.max(np.abs(traj.states - ref)) <= 1e-12 * np.max(np.abs(ref)), (s, x0, h, steps)
-    assert overflowing >= 5
+    assert overflowing >= 4
+
+
+def talbot_solution(s, x0, ts):
+    """The exact solution at the times ts, shape (len(ts), 2): the inverse
+    Laplace transform of X(s) = (diag(s^q1, s^q2) - A)^-1 diag(s^(q1-1),
+    s^(q2-1)) x0 by Talbot's contour at 30 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        a = mp.matrix([[s.a11, s.a12], [s.a21, s.a22]])
+        q1, q2 = mp.mpf(s.q1), mp.mpf(s.q2)
+
+        def transform(i):
+            def x_of(p):
+                m = mp.matrix([[p**q1 - a[0, 0], -a[0, 1]], [-a[1, 0], p**q2 - a[1, 1]]])
+                return mp.lu_solve(m, mp.matrix([p ** (q1 - 1) * x0[0], p ** (q2 - 1) * x0[1]]))[i]
+            return x_of
+
+        return np.array(
+            [[float(mp.invertlaplace(transform(i), t, method="talbot")) for i in (0, 1)] for t in ts]
+        )
+
+
+@pytest.mark.parametrize(
+    "s, x0, h, ts, max_err, min_order",
+    [
+        (SystemSpec(-1.0, 2.0, -2.0, -1.0, 0.7, 0.4), (1.0, 0.5), 1e-2, (1.0, 5.0), 2e-4, 1.35),
+        (MIXED, (1.0, 0.5), 1e-2, (1.0, 5.0), 2e-4, 1.35),
+        (DECOUPLED, (1.0, 2.0), 1e-2, (1.0, 5.0), 2e-4, 1.35),
+        (REF_STABLE, (1.0, 1.0), 1.0, (100.0, 1000.0), 4e-3, 1.15),
+    ],
+)
+def test_talbot_error_and_order(s, x0, h, ts, max_err, min_order):
+    # the error against the exact solution at h, h/2 and h/4, and the order
+    # log2 of each ratio; the observed orders are close to 1 + min(q1, q2):
+    # 1.42, 1.61, 1.51 and 1.24
+    exact = talbot_solution(s, x0, ts)
+    errs = []
+    for k in range(3):
+        step = h / 2**k
+        traj = integrate(s, x0, ts[-1], step)
+        rows = [int(round(t / step)) for t in ts]
+        errs.append(float(np.max(np.abs(traj.states[rows] - exact))))
+    assert errs[0] <= max_err, errs
+    for coarse, fine in zip(errs, errs[1:]):
+        assert math.log2(coarse / fine) >= min_order, errs
 
 
 @pytest.mark.parametrize("qs", [(0.06, 0.25), (0.5, 0.9), (0.999, 1.0)])
@@ -327,7 +450,6 @@ def test_weights_match_mpmath(qs):
             for m in points:
                 big = mp.mpf(m)
                 exact = (
-                    (big + 1) ** q - big**q,
                     (big + 2) ** (q + 1) + big ** (q + 1) - 2 * (big + 1) ** (q + 1),
                     # at q = 1, n = 1 the first factor of the second term is 0
                     big ** (q + 1) - (big - q) * (big + 1) ** q,
