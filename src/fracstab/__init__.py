@@ -16,7 +16,9 @@ from .chareq import (
     SystemSpec,
     conjugate_symmetry_check,
     delta_eval,
+    delta_rounding_bound,
     principal_power,
+    term_majorant,
 )
 from .classify import (
     Reason,
@@ -38,6 +40,7 @@ from .curve import (
     curve_point,
     h_func,
     phi,
+    phi_terms,
     rho,
     sample_curve,
     solve_omega_star,
@@ -81,6 +84,8 @@ __all__ = [
     "CharParams",
     "principal_power",
     "delta_eval",
+    "term_majorant",
+    "delta_rounding_bound",
     "conjugate_symmetry_check",
     # curve
     "EPS_COMM",
@@ -91,6 +96,7 @@ __all__ = [
     "curve_point",
     "solve_omega_star",
     "phi",
+    "phi_terms",
     "sample_curve",
     "u_max",
     # classify

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 __all__ = [
@@ -25,8 +26,15 @@ __all__ = [
     "CharParams",
     "principal_power",
     "delta_eval",
+    "term_majorant",
+    "delta_rounding_bound",
     "conjugate_symmetry_check",
 ]
+
+_EPS = sys.float_info.epsilon
+# rho's multiple of eps; against 50 digits (tests/test_chareq.py) the error of
+# delta_eval stays below 1.3*eps*(1 + (q1+q2)*|log s|)*M(|s|)
+_RHO_ULPS = 8.0
 
 
 def _check_order(name: str, q: float) -> None:
@@ -105,18 +113,48 @@ def principal_power(s: complex, q: float) -> complex:
 def delta_eval(p: CharParams, s: complex) -> complex:
     """Delta(s) = s^(q1+q2) - a11*s^q2 - a22*s^q1 + delta on the principal branch.
 
+    Each power is exp(q*log s), as in principal_power, from one shared log s.
     delta_eval(p, 0) returns delta by convention (the limit value), which makes
     the sign test Delta(0) = delta directly executable.
     """
     s = complex(s)
     if s == 0:
         return complex(p.delta)
+    if s.imag == 0.0:
+        s = complex(s.real, 0.0)
+    log_s = cmath.log(s)
     return (
-        principal_power(s, p.q1 + p.q2)
-        - p.a11 * principal_power(s, p.q2)
-        - p.a22 * principal_power(s, p.q1)
+        cmath.exp((p.q1 + p.q2) * log_s)
+        - p.a11 * cmath.exp(p.q2 * log_s)
+        - p.a22 * cmath.exp(p.q1 * log_s)
         + p.delta
     )
+
+
+def term_majorant(p: CharParams, r: float) -> float:
+    """M(r) = |delta| + r^(q1+q2) + |a11|*r^q2 + |a22|*r^q1, the moduli of Delta's terms at |s| = r.
+
+    M bounds |Delta| on the circle |s| = r and scales exactly as Delta does
+    under time scaling, so it is the magnitude every "zero to rounding" test
+    on Delta is judged against.
+    """
+    return abs(p.delta) + r ** (p.q1 + p.q2) + abs(p.a11) * r**p.q2 + abs(p.a22) * r**p.q1
+
+
+def delta_rounding_bound(p: CharParams, s: complex) -> float:
+    """A bound on |delta_eval(p, s) - Delta(s)| for s != 0: a running error bound.
+
+    Each power exp(q*log s) inherits the rounding of log s, an absolute error
+    of about eps*q*|log s| in its exponent and so a relative one in its
+    value; the products and the three additions add a few eps of each term.
+    Every term is at most M(|s|), so
+
+        rho(s) = _RHO_ULPS * eps * (1 + (q1+q2)*|log s|) * M(|s|).
+
+    |Delta| <= rho(s) means Delta(s) is zero to working precision.
+    """
+    log_s = cmath.log(s)
+    return _RHO_ULPS * _EPS * (1.0 + (p.q1 + p.q2) * abs(log_s)) * term_majorant(p, abs(s))
 
 
 def conjugate_symmetry_check(p: CharParams, s: complex, rel_tol: float = 1e-12) -> bool:

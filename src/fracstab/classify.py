@@ -16,6 +16,12 @@ The (q1, q2) rasters of qscan and qscan_verdicts run the region test once per
 system, because its verdict does not depend on the orders, and otherwise find
 omega* for every cell at once by the Newton iteration that the scalar phi
 runs, applied to arrays (curve.phi_orders).
+
+A margin inside the tie band 1e-12*(|a22| + T_phi) is marginal, with T_phi
+the sum of the moduli of phi's terms (curve.phi_terms). The band is relative
+to the magnitudes the margin is computed from, so a time scaling
+(a11, a22, delta) -> (a11*c^q1, a22*c^q2, delta*c^(q1+q2)), which moves
+every root along its ray, changes no verdict.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from enum import Enum
 import numpy as np
 
 from .chareq import SystemSpec
-from .curve import CurveParams, phi, phi_orders
+from .curve import CurveParams, phi_orders, phi_terms
 from .errors import DeltaNotPositive, DeltaZeroUnclassified, DomainError
 
 __all__ = [
@@ -62,6 +68,9 @@ class Reason(str, Enum):
     OnGamma = "OnGamma"
 
 
+# the tie band's multiple of the magnitudes of a22 and phi's terms
+_KAPPA = 1e-12
+
 _STABLE_KINDS = frozenset({VerdictKind.StableAllOrders, VerdictKind.StableForOrders})
 _UNSTABLE_KINDS = frozenset({VerdictKind.UnstableAllOrders, VerdictKind.UnstableForOrders})
 
@@ -71,8 +80,10 @@ class Verdict:
     """Classification outcome together with the rule that produced it.
 
     margin is the signed distance a22 - phi(a11) when the order-dependent test
-    ran, else 0. decay_exponent = min(q1, q2) is attached to stable verdicts
-    produced with known orders; phi_value is set whenever phi was computed.
+    ran, else 0, and tie_band the tie_tolerance it was compared against
+    (|margin| <= tie_band is marginal), else 0. decay_exponent = min(q1, q2)
+    is attached to stable verdicts produced with known orders; phi_value is
+    set whenever phi was computed.
     """
 
     kind: VerdictKind
@@ -80,6 +91,7 @@ class Verdict:
     margin: float = 0.0
     decay_exponent: float | None = None
     phi_value: float | None = None
+    tie_band: float = 0.0
 
     @property
     def is_stable(self) -> bool:
@@ -96,9 +108,17 @@ class RegionMembership:
     in_rs: bool
 
 
-def tie_tolerance(a22: float) -> float:
-    """Width of the marginal band around the curve: 1e-10 * (1 + |a22|)."""
-    return 1e-10 * (1.0 + abs(a22))
+def tie_tolerance(a22, phi_value, phi_terms):
+    """Half-width of the marginal band around the curve: 1e-12 * (|a22| + T_phi).
+
+    T_phi is the sum of the moduli of phi's terms (curve.phi_terms), so the
+    band scales with the margin under time scaling. Against 50 digits the
+    margin's error stays below an eighth of the band (tests/test_classify.py),
+    so a margin outside the band has the sign of the exact one. Where phi is
+    +-inf the margin is infinite and the band is 0. Takes floats or arrays.
+    """
+    band = _KAPPA * (np.abs(a22) + phi_terms)
+    return np.where(np.isinf(phi_value), 0.0, band)
 
 
 def region_membership(a11: float, a22: float, delta: float) -> RegionMembership:
@@ -151,9 +171,9 @@ def _classify_params(
             "delta = 0 and no order-independent rule applies; "
             "the region tests assume det(A) != 0"
         )
-    phi_val = phi(CurveParams(delta, q1, q2), a11)
+    phi_val, terms = phi_terms(CurveParams(delta, q1, q2), a11)
     margin = a22 - phi_val
-    tol = tie_tolerance(a22)
+    tol = float(tie_tolerance(a22, phi_val, terms))
     if margin < -tol:
         return Verdict(
             VerdictKind.StableForOrders,
@@ -161,6 +181,7 @@ def _classify_params(
             margin=margin,
             decay_exponent=min(q1, q2),
             phi_value=phi_val,
+            tie_band=tol,
         )
     if margin > tol:
         return Verdict(
@@ -168,9 +189,10 @@ def _classify_params(
             Reason.AboveGamma,
             margin=margin,
             phi_value=phi_val,
+            tie_band=tol,
         )
     return Verdict(
-        VerdictKind.MarginalOnCurve, Reason.OnGamma, margin=margin, phi_value=phi_val
+        VerdictKind.MarginalOnCurve, Reason.OnGamma, margin=margin, phi_value=phi_val, tie_band=tol
     )
 
 
@@ -197,8 +219,9 @@ def qscan_verdicts(a11: float, a22: float, delta: float, grid_n: int) -> np.ndar
 
     Cell [j-1, k-1] holds the verdict of classify at q1 = j/grid_n,
     q2 = k/grid_n. The order-independent rules run once, since their verdict
-    holds for every cell; when they are silent, phi_orders finds phi in every
-    cell at once and each margin is compared with tie_tolerance(a22).
+    holds for every cell; when they are silent, phi_orders finds phi and
+    T_phi in every cell at once and each margin is compared with the cell's
+    tie_tolerance.
     """
     if not delta > 0.0:
         raise DeltaNotPositive(f"qscan requires delta > 0, got {delta!r}")
@@ -208,8 +231,9 @@ def qscan_verdicts(a11: float, a22: float, delta: float, grid_n: int) -> np.ndar
     if oi is not None:
         return np.full((grid_n, grid_n), int(oi.is_stable), dtype=np.int8)
     q = np.arange(1, grid_n + 1) / grid_n
-    margin = a22 - phi_orders(delta, a11, q[:, None], q[None, :])
-    tol = tie_tolerance(a22)
+    phi_val, terms = phi_orders(delta, a11, q[:, None], q[None, :])
+    margin = a22 - phi_val
+    tol = tie_tolerance(a22, phi_val, terms)
     out = np.full((grid_n, grid_n), 2, dtype=np.int8)
     out[margin < -tol] = 1
     out[margin > tol] = 0

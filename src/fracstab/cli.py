@@ -210,6 +210,7 @@ def _cmd_classify(args) -> int:
         "margin": verdict.margin,
         "decay_exponent": verdict.decay_exponent,
         "phi_value": verdict.phi_value,
+        "tie_band": verdict.tie_band,
         "delta": spec.delta(),
     }
     _print_record(record, args.json)

@@ -42,6 +42,7 @@ __all__ = [
     "curve_point",
     "solve_omega_star",
     "phi",
+    "phi_terms",
     "phi_orders",
     "sample_curve",
     "u_max",
@@ -139,7 +140,7 @@ def curve_point(cp: CurveParams, omega: float) -> CurvePoint:
 
 
 def _omega_star(delta: float, a11: float, q1, q2):
-    """(w*, phi(a11)) off the commensurate band; q1 and q2 floats or arrays.
+    """(w*, phi(a11), T_phi) off the commensurate band; q1, q2 floats or arrays.
 
     With a, b = min, max(q1, q2), v = sign(q2 - q1)*w, d = |sin((q2-q1)*pi/2)|
     and S = delta^(q1/(q1+q2)), for either order of q1 and q2
@@ -160,7 +161,8 @@ def _omega_star(delta: float, a11: float, q1, q2):
     below 1e-13*max(1, |u|) or a |K| at its rounding floor; more than
     _NEWTON_MAX steps, or a final |K| (a relative residual) above 1e-10,
     raises BracketFailure. phi = delta^(q2/(q1+q2))*h(-w*) is +-inf where it
-    leaves double range.
+    leaves double range. T_phi is the sum of the moduli of phi's two terms,
+    which bounds phi's rounding and scales as phi does under time scaling.
     """
     if not math.isfinite(a11):
         raise ValueError(f"a11 must be finite, got {a11!r}")
@@ -195,8 +197,11 @@ def _omega_star(delta: float, a11: float, q1, q2):
         )
     v = sign * u
     with np.errstate(over="ignore"):
-        phi_val = delta ** (q2 / (q1 + q2)) * (p * np.exp(-a * v) - n * np.exp(b * v))
-    return np.sign(q2 - q1) * v, phi_val
+        scale = delta ** (q2 / (q1 + q2))
+        plus, minus = p * np.exp(-a * v), n * np.exp(b * v)
+        phi_val = scale * (plus - minus)
+        terms = scale * (plus + minus)
+    return np.sign(q2 - q1) * v, phi_val, terms
 
 
 def solve_omega_star(cp: CurveParams, a11: float) -> float:
@@ -228,25 +233,46 @@ def phi(cp: CurveParams, a11: float) -> float:
     return cp.delta**e2 * h_func(-w_star, cp.q1, cp.q2)
 
 
-def phi_orders(delta: float, a11: float, q1, q2) -> np.ndarray:
-    """phi(CurveParams(delta, q1, q2), a11) for every order pair of two arrays.
+def _line_terms(delta: float, a11: float, q1, q2):
+    # T_phi on the commensurate line phi = 2*sqrt(delta)*cos(q*pi/2) - a11
+    return 2.0 * math.sqrt(delta) * np.cos(0.25 * math.pi * (q1 + q2)) + abs(a11)
 
-    q1 and q2 broadcast against each other. Commensurate pairs go through phi
-    itself; all others go through the Newton iteration of _omega_star at
-    once, which raises BracketFailure if any cell fails. The scalar phi runs
-    the same iteration, so values agree to rounding, not always bitwise.
+
+def phi_terms(cp: CurveParams, a11: float) -> tuple[float, float]:
+    """(phi(a11), T_phi), with T_phi the sum of the moduli of phi's terms.
+
+    T_phi bounds the magnitudes phi is computed from, so eps*T_phi is the
+    scale of phi's rounding; it scales exactly as phi does under time
+    scaling. Off the commensurate band the terms are the two exponentials
+    of _omega_star; on it, 2*sqrt(delta)*cos(q*pi/2) and a11.
+    """
+    if cp.commensurate:
+        return phi(cp, a11), float(_line_terms(cp.delta, a11, cp.q1, cp.q2))
+    _, val, terms = _omega_star(cp.delta, a11, cp.q1, cp.q2)
+    return float(val), float(terms)
+
+
+def phi_orders(delta: float, a11: float, q1, q2) -> tuple[np.ndarray, np.ndarray]:
+    """phi_terms(CurveParams(delta, q1, q2), a11) for every order pair of two arrays.
+
+    q1 and q2 broadcast against each other; returns the arrays of phi and
+    T_phi. Commensurate pairs go through phi itself; all others go through
+    the Newton iteration of _omega_star at once, which raises BracketFailure
+    if any cell fails. The scalar phi runs the same iteration, so values
+    agree to rounding, not always bitwise.
     """
     if not (math.isfinite(delta) and delta > 0.0):
         raise ValueError(f"delta must be finite and > 0, got {delta!r}")
     q1, q2 = np.broadcast_arrays(np.asarray(q1, dtype=float), np.asarray(q2, dtype=float))
     if not np.all((q1 > 0.0) & (q1 <= 1.0) & (q2 > 0.0) & (q2 <= 1.0)):
         raise ValueError("orders must lie in (0, 1]")
-    out = np.empty(q1.shape)
+    out, terms = np.empty(q1.shape), np.empty(q1.shape)
     comm = np.abs(q1 - q2) <= EPS_COMM
     for i in map(tuple, np.argwhere(comm)):
         out[i] = phi(CurveParams(delta, float(q1[i]), float(q2[i])), a11)
-    out[~comm] = _omega_star(delta, a11, q1[~comm], q2[~comm])[1]
-    return out
+    terms[comm] = _line_terms(delta, a11, q1[comm], q2[comm])
+    _, out[~comm], terms[~comm] = _omega_star(delta, a11, q1[~comm], q2[~comm])
+    return out, terms
 
 
 def sample_curve(

@@ -30,7 +30,14 @@ class DomainError(FracstabError):
 
 
 class ContourThroughRoot(FracstabError):
-    """|Delta| dropped below tolerance on the counting contour (on- or near-curve input)."""
+    """A root of Delta lies on a winding contour to working precision, so it cannot be counted.
+
+    Raised when |Delta| at a contour sample is within Delta's rounding bound
+    (chareq.delta_rounding_bound, relative to the term majorant), or when a
+    phase step still jumps by pi/2 or more after the last bisection. A
+    system on the critical curve, with roots on the imaginary axis, raises
+    it from count_unstable_roots; the CLI exits 2.
+    """
 
 
 class AnnulusOutOfRange(FracstabError):
@@ -38,7 +45,12 @@ class AnnulusOutOfRange(FracstabError):
 
 
 class RefinementLimit(FracstabError):
-    """Adaptive contour refinement exceeded the maximum subdivision depth."""
+    """A winding did not settle to a nonnegative integer, or the locator could not place its roots.
+
+    polish_unstable_roots raises it when no half-annulus holds the complex
+    pairs of its count, when cells do not separate the roots or when Newton
+    cannot converge inside them; a wrong expected count ends here.
+    """
 
 
 class NotRational(FracstabError):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chareq import CharParams, SystemSpec, delta_eval, principal_power
+from .chareq import CharParams, SystemSpec, delta_eval, delta_rounding_bound, principal_power
 from .errors import (
     AnnulusOutOfRange,
     ContourThroughRoot,
@@ -49,6 +49,10 @@ _TWO_PI = 2.0 * math.pi
 _HALF_PI = 0.5 * math.pi
 _MAX_DEPTH = 24  # bisections of one contour step
 _MAX_SPLITS = 100  # cell halvings before close roots count as inseparable
+# a cell's Newton accepts |Delta| within this many rounding bounds, in at most
+# _NEWTON_MAX steps
+_NEWTON_ROUNDINGS = 64.0
+_NEWTON_MAX = 80
 # l and L must lie in [1e-300, 1e300], so the contour radii stay doubles
 _LOG_ANNULUS_MIN, _LOG_ANNULUS_MAX = math.log(1e-300), math.log(1e300)
 _LOG_DBL_MAX = math.log(sys.float_info.max)
@@ -165,11 +169,14 @@ def _winding(
     The rectangle is the annular sector x0 <= log|s| <= x1, y0 <= Arg s <= y1.
     Its edges run counterclockwise and linearly in w from 32 equal steps
     each; a step is bisected until the phase of Delta moves by less than
-    pi/2, at most _MAX_DEPTH times, else RefinementLimit, as when the turns
-    are no integer >= 0. |Delta| < 1e-12*(1+delta) at a sample raises
-    ContourThroughRoot. Returns (roots inside, turns, samples, deepest).
+    pi/2. ContourThroughRoot is raised when a root lies on the contour to
+    working precision: a sample with |Delta| <= delta_rounding_bound, which
+    is relative to Delta's term majorant, or a step whose phase still jumps
+    by pi/2 or more after _MAX_DEPTH bisections, which puts a root within
+    2^-_MAX_DEPTH of a step of the edge. RefinementLimit is raised only for
+    turns that do not settle to an integer >= 0. Returns (roots inside,
+    turns, samples, deepest).
     """
-    thresh = 1e-12 * (1.0 + p.delta)
     evals = 0
     deepest = 0
 
@@ -178,9 +185,9 @@ def _winding(
         evals += 1
         s = _exp_w(x, y)
         val = delta_eval(p, s)
-        if abs(val) < thresh:
+        if abs(val) <= delta_rounding_bound(p, s):
             raise ContourThroughRoot(
-                f"|Delta| = {abs(val):.3e} < {thresh:.3e} at contour point {s}"
+                f"|Delta| = {abs(val):.3e} is zero to rounding at contour point {s}"
             )
         return cmath.phase(val)
 
@@ -198,8 +205,10 @@ def _winding(
                 total += d
                 continue
             if depth + 1 > _MAX_DEPTH:
-                raise RefinementLimit(
-                    f"phase step {d:.3f} rad still >= pi/2 at depth {_MAX_DEPTH}"
+                s0, s1 = _exp_w(xa + dx * t0, ya + dy * t0), _exp_w(xa + dx * t1, ya + dy * t1)
+                raise ContourThroughRoot(
+                    f"phase step {d:.3f} rad still >= pi/2 at depth {_MAX_DEPTH}, "
+                    f"a root between contour points {s0} and {s1}"
                 )
             deepest = max(deepest, depth + 1)
             tm = 0.5 * (t0 + t1)
@@ -240,9 +249,11 @@ def count_unstable_roots(p: CharParams) -> RootCountReport:
     Arg s; its horizontal edges are the imaginary axis, sampled
     geometrically in |s|, so an annulus of many decades stays cheap.
 
-    Callers are expected to keep inputs off the critical curve: a curve (or
-    near-curve) system puts a root on the imaginary axis and trips
-    ContourThroughRoot.
+    A system on the critical curve has a root on the imaginary axis, which
+    the contour cannot count: it raises ContourThroughRoot, from a sample
+    where Delta is zero to rounding or from a phase step that bisection
+    cannot settle. Both tests are relative to Delta's term majorant, so the
+    count and its failures do not change under time scaling.
     """
     if not p.delta > 0.0:
         raise DeltaNotPositive(f"contour counting requires delta > 0, got {p.delta!r}")
@@ -311,27 +322,16 @@ def _delta_prime(p: CharParams, s: complex) -> complex:
     )
 
 
-def _residual_scale(p: CharParams, s: complex) -> float:
-    r = abs(s)
-    return (
-        1.0
-        + abs(p.delta)
-        + r ** (p.q1 + p.q2)
-        + abs(p.a11) * r**p.q2
-        + abs(p.a22) * r**p.q1
-    )
-
-
 def _newton_in_cell(
     p: CharParams, x0: float, x1: float, y0: float, y1: float
 ) -> complex | None:
     # Newton on Delta(e^w) from the cell centre; None once an iterate leaves
     # the cell, so a root it returns is the one the cell's winding counted
     w = complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))
-    for _ in range(80):
+    for _ in range(_NEWTON_MAX):
         s = _exp_w(w.real, w.imag)
         f = delta_eval(p, s)
-        if abs(f) <= 1e-11 * _residual_scale(p, s):
+        if abs(f) <= _NEWTON_ROUNDINGS * delta_rounding_bound(p, s):
             return s
         df = s * _delta_prime(p, s)
         if df == 0:
@@ -339,8 +339,7 @@ def _newton_in_cell(
         w -= f / df
         if not (x0 <= w.real <= x1 and y0 <= w.imag <= y1):
             return None
-    s = _exp_w(w.real, w.imag)
-    return s if abs(delta_eval(p, s)) <= 1e-9 * _residual_scale(p, s) else None
+    return None
 
 
 def polish_unstable_roots(
@@ -352,13 +351,15 @@ def polish_unstable_roots(
     exactly between Delta's critical points on the real axis. The complex
     pairs lie in the part [t_b, pi/2] of count_unstable_roots' log-plane
     rectangle, for the first t_b in 1e-3, 1e-6, ... that holds all of them.
-    Cells are halved along their longer side in w, one half recounted and
-    the other given the remainder, until a cell holds one root; Newton on
-    Delta(e^w) from its centre must keep every iterate in the cell and bring
-    the residual to 1e-11 (1e-9 after 80 steps) of the term magnitudes, or
-    the cell is split again. Conjugates are mirrored. Returns exactly
-    `expected` roots sorted by (real, imag), or raises RefinementLimit (or
-    ContourThroughRoot, for a cell edge through a root).
+    A rung whose edge runs through a root does not hold them. Cells are
+    halved along their longer side in w, one half recounted and the other
+    given the remainder, until a cell holds one root; Newton on Delta(e^w)
+    from its centre must keep every iterate in the cell and bring |Delta|
+    within _NEWTON_ROUNDINGS rounding bounds (delta_rounding_bound, relative
+    to the term majorant) in _NEWTON_MAX steps, or the cell is split again.
+    Conjugates are mirrored. Returns exactly `expected` roots sorted by
+    (real, imag), or raises RefinementLimit (or ContourThroughRoot, for a
+    cell edge through a root).
     """
     if expected is None:
         expected = count_unstable_roots(p).n_unstable
@@ -372,8 +373,11 @@ def polish_unstable_roots(
     if pairs:
         x0, x1 = _log_annulus(p, unstable_root_bounds(p))
         for t_b in (1e-3, 1e-6, 1e-9, 1e-12):
-            if _winding(p, x0, x1, t_b, _HALF_PI)[0] == pairs:
-                break
+            try:
+                if _winding(p, x0, x1, t_b, _HALF_PI)[0] == pairs:
+                    break
+            except ContourThroughRoot:
+                continue
         else:
             raise RefinementLimit(f"no upper half-annulus held the {pairs} complex pairs")
         stack = [(x0, x1, t_b, _HALF_PI, pairs, 0)]

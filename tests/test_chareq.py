@@ -11,7 +11,9 @@ from fracstab import (
     SystemSpec,
     conjugate_symmetry_check,
     delta_eval,
+    delta_rounding_bound,
     principal_power,
+    term_majorant,
 )
 
 # reference 2x2 system reused across the suite; delta = 0.002201
@@ -128,3 +130,49 @@ def test_commensurate_collapse_to_quadratic():
         direct = delta_eval(p, s)
         quad = z * z - (a11 + a22) * z + delta
         assert abs(direct - quad) <= 1e-13 * max(1.0, abs(direct))
+
+
+def test_delta_eval_shares_one_log():
+    # one log s for the three powers gives principal_power's values bitwise
+    rng = np.random.default_rng(41)
+    for _ in range(500):
+        q1, q2 = rng.uniform(0.01, 1.0, 2)
+        a11, a22, delta = rng.uniform(-5.0, 5.0, 3)
+        p = CharParams(float(a11), float(a22), float(delta), float(q1), float(q2))
+        s = cmath.rect(10.0 ** rng.uniform(-5.0, 5.0), rng.uniform(-math.pi, math.pi))
+        for z in (s, complex(-abs(s), 0.0), complex(-abs(s), -0.0), complex(0.0, abs(s))):
+            want = (principal_power(z, p.q1 + p.q2) - p.a11 * principal_power(z, p.q2)
+                    - p.a22 * principal_power(z, p.q1) + p.delta)
+            assert delta_eval(p, z) == want
+
+
+def test_delta_rounding_bound_holds():
+    # |delta_eval - Delta| <= rho(s) against 50 digits, for |s| over 400
+    # decades, on every ray, the branch cut and the axes included, and at
+    # points where delta cancels the real part of the other terms
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    rng = np.random.default_rng(43)
+    checked = 0
+    while checked < 1500:
+        q1, q2 = (float(q) for q in rng.uniform(0.01, 1.0, 2))
+        a11, a22, delta = (float(a) for a in rng.uniform(-5.0, 5.0, 3) * 10.0 ** rng.uniform(-20.0, 20.0, 3))
+        r = float(10.0 ** rng.uniform(-200.0, 200.0))
+        arg = float(rng.choice([rng.uniform(-math.pi, math.pi), math.pi, 0.5 * math.pi, -0.5 * math.pi, 0.0]))
+        s = complex(-r, 0.0) if arg == math.pi else complex(0.0, math.copysign(r, arg)) if abs(arg) == 0.5 * math.pi else cmath.rect(r, arg)
+        log_s = mp.log(mp.mpc(s.real, s.imag))
+        x1, x2 = mp.mpf(q1), mp.mpf(q2)
+        rest = mp.exp((x1 + x2) * log_s) - a11 * mp.exp(x2 * log_s) - a22 * mp.exp(x1 * log_s)
+        if checked % 3 == 0:
+            delta = float(-rest.real)
+        if not math.isfinite(delta):
+            continue
+        p = CharParams(a11, a22, delta, q1, q2)
+        try:
+            got, rho = delta_eval(p, s), delta_rounding_bound(p, s)
+        except OverflowError:  # terms past double range: never evaluated on a contour
+            continue
+        err = abs(mp.mpc(got.real, got.imag) - (rest + delta))
+        assert err <= rho, (p, s, float(err), rho)
+        assert rho <= 1e-11 * term_majorant(p, r)
+        checked += 1

@@ -122,7 +122,7 @@ def test_classify_marginal_on_curve():
     a22 = phi(cp, a11)
     v = classify(SystemSpec(a11, 1.0, a11 * a22 - 1.5, a22, 0.4, 0.8))
     assert v.kind is VerdictKind.MarginalOnCurve and v.reason is Reason.OnGamma
-    assert abs(v.margin) <= tie_tolerance(a22)
+    assert abs(v.margin) <= v.tie_band
     assert not v.is_stable and not v.is_unstable
 
 
@@ -136,10 +136,10 @@ def test_classify_margin_sign_convention():
         v = classify(SystemSpec(a11, 1.0, a11 * a22 - delta, a22, q1, q2))
         seen.add(v.kind)
         if v.kind is VerdictKind.StableForOrders:
-            assert v.margin < -tie_tolerance(a22)
+            assert v.margin < -v.tie_band
             assert v.decay_exponent == min(q1, q2)
         elif v.kind is VerdictKind.UnstableForOrders:
-            assert v.margin > tie_tolerance(a22)
+            assert v.margin > v.tie_band
     assert VerdictKind.StableForOrders in seen and VerdictKind.UnstableForOrders in seen
 
 
@@ -149,8 +149,15 @@ def test_classify_delta_zero_unclassified():
 
 
 def test_tie_tolerance_scale():
-    assert tie_tolerance(0.0) == 1e-10
-    assert tie_tolerance(-100.0) == 1e-10 * 101.0
+    # 1e-12 of the magnitudes the margin is computed from, with no absolute
+    # floor, so the band scales with a22 and phi under time scaling
+    assert tie_tolerance(0.0, 0.0, 0.0) == 0.0
+    assert tie_tolerance(-100.0, 3.0, 5.0) == 1e-12 * 105.0
+    # phi past double range: the margin is infinite and the band 0
+    assert tie_tolerance(-100.0, -math.inf, math.inf) == 0.0
+    np.testing.assert_array_equal(
+        tie_tolerance(2.0, np.array([-1.0, math.inf]), np.array([3.0, math.inf])), [5e-12, 0.0]
+    )
 
 
 def test_qscan_reference_cells():
@@ -197,7 +204,7 @@ def assert_raster_matches_oracle(a11, a22, delta, grid_n):
     np.testing.assert_array_equal(qscan_verdicts(a11, a22, delta, grid_n), expected)
     if not np.isnan(phis).all():
         q = np.arange(1, grid_n + 1) / grid_n
-        got = phi_orders(delta, a11, q[:, None], q[None, :])
+        got = phi_orders(delta, a11, q[:, None], q[None, :])[0]
         # np.exp and math.exp differ by an ulp on some inputs: no bit equality
         assert np.all(np.abs(got - phis) <= 1e-11 * (1.0 + np.abs(phis)))
 
@@ -321,3 +328,32 @@ def test_a2_inequality_random_with_reflection():
         alpha = rng.uniform(0.01, 20.0)
         assert a2_inequality_check(x, y, alpha)
         assert a2_inequality_check(x, y, 1.0 / alpha)
+
+
+def test_margin_within_tie_band():
+    # against 50 digits the margin's error stays below an eighth of the tie
+    # band 1e-12*(|a22| + T_phi), on systems time-scaled over 24 decades
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    half_pi = mp.pi / 2
+    rng = np.random.default_rng(11)
+    checked = 0
+    for _ in range(1500):
+        a11, a22 = rng.uniform(-5.0, 5.0, 2)
+        delta = rng.uniform(0.1, 10.0)
+        q1, q2 = (float(q) for q in rng.uniform(0.02, 1.0, 2))
+        c = 10.0 ** rng.uniform(-12.0, 12.0)
+        a11, a22, delta = float(a11 * c**q1), float(a22 * c**q2), float(delta * c ** (q1 + q2))
+        v = _classify_params(a11, a22, delta, q1, q2)
+        if v.phi_value is None or abs(q1 - q2) <= curve.EPS_COMM:
+            continue
+        d, x1, x2 = (mp.mpf(x) for x in (delta, q1, q2))
+        den = mp.sin((x2 - x1) * half_pi)
+        r1, r2 = mp.sin(x1 * half_pi) / den, mp.sin(x2 * half_pi) / den
+        s, t = d ** (x1 / (x1 + x2)), d ** (x2 / (x1 + x2))
+        w0 = curve.solve_omega_star(CurveParams(delta, q1, q2), a11)
+        w = mp.findroot(lambda u: s * (r2 * mp.exp(x1 * u) - r1 * mp.exp(-x2 * u)) - a11, w0)
+        margin = a22 - t * (r2 * mp.exp(-x1 * w) - r1 * mp.exp(x2 * w))
+        assert abs(v.margin - margin) <= v.tie_band / 8, (a11, a22, delta, q1, q2)
+        checked += 1
+    assert checked > 500

@@ -75,6 +75,7 @@ def test_classify_json_record(capsys):
     v = classify(SystemSpec(0.00001, 1.0, -0.0022, 0.1, 0.5, 0.25))
     assert rec["margin"] == v.margin
     assert rec["phi_value"] == v.phi_value
+    assert rec["tie_band"] == v.tie_band > 0.0
 
 
 def test_exit_code_table(capsys):
@@ -106,6 +107,15 @@ def test_exit_code_table(capsys):
         # L = 1e200 at orders (1, 1): s^2 leaves double range on the outer arc
         (EXIT_MARGINAL, ["roots", "--a11", "1e200", "--a22", 0, "--delta", 1,
                          "--q1", 1, "--q2", 1]),
+        # (0.5, 0.5, 0.5) at orders (0.8, 0.4), time-scaled by c = 1e-10: every term
+        # of Delta is far below 1, and the count is still 2
+        (EXIT_UNSTABLE, ["roots", "--a11", "4.999999999999995e-09", "--a22", "4.9999999999999975e-05",
+                         "--delta", "4.99999999999998e-13", "--q1", "0.8", "--q2", "0.4"]),
+        # a time-scaled system whose unscaled margin is -2.51: its margin is
+        # far below 1e-10 and far outside the tie band, which scales with it
+        (EXIT_STABLE, ["classify", "--a11=-2.2814654987813964e-10", "--a12", 1,
+                       "--a21=-5.966823883541333e-21", "--a22", "2.171967454510328e-11",
+                       "--q1", "0.8768645755138017", "--q2", "0.9328890998522735"]),
         (EXIT_MARGINAL, ["classify", "--a11", SQRT2, "--a12", 1, "--a21", -2,
                          "--a22", SQRT2, "--q1", "0.5", "--q2", "0.5"]),
         (EXIT_MARGINAL, ["classify", "--a11", 1, "--a12", 1, "--a21", 1, "--a22", 1,
@@ -350,14 +360,16 @@ def test_roots_negative_delta_routes_to_classify(capsys):
 
 
 def test_roots_on_curve_exit_codes(capsys):
-    # a sampled contour point landing on a root is a data condition (2);
-    # exhausting refinement on an on-curve input is an internal failure (70)
+    # a root on the contour cannot be counted, a data condition (2): here
+    # the phase jump across the root at +-i*sqrt(1e-7) outlasts bisection
     code, _, _ = run_cli(capsys, "roots", "--a11", 0, "--a22", 0, "--delta", "1e-7",
                       "--q1", 1, "--q2", 1)
     assert code == EXIT_MARGINAL
+    # an on-curve system has its roots +-4i on the imaginary axis, which is
+    # the contour's axis edge: "cannot decide" (2), not an internal failure
     code, _, _ = run_cli(capsys, "roots", "--a11", SQRT2, "--a22", SQRT2, "--delta", 4,
                       "--q1", "0.5", "--q2", "0.5")
-    assert code == EXIT_INTERNAL == 70
+    assert code == EXIT_MARGINAL
 
 
 def test_simulate_decoupled(tmp_path, capsys):
