@@ -6,6 +6,11 @@ digits (full double round-trip) plus a run manifest JSON next to each output
 file. Exit codes: 0 stable/success, 1 unstable, 2 marginal/unclassified,
 64 usage, 65 data error, 70 internal.
 
+The float CSVs (curve, simulate --out) hold each value as "%.17g" % v, byte
+for byte. _g17.format_rows writes them in a few array passes per chunk of
+rows; only a value within 2^-40 of a rounding tie of its 17th digit, a
+subnormal, inf or nan is formatted by "%.17g" % v on its own.
+
 Output files (the CSV and its manifest) are overwritten in place: an
 existing file is opened without truncation, written from the start and then
 cut to the bytes written. There is no temp file, rename or fsync. On ext4, a
@@ -40,6 +45,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
+from ._g17 import format_rows
 from .chareq import CharParams, SystemSpec
 from .classify import VerdictKind, classify, qscan_verdicts
 from .curve import CurveParams, sample_curve
@@ -67,7 +73,7 @@ EXIT_USAGE = 64
 EXIT_DATA = 65
 EXIT_INTERNAL = 70
 
-# rows per write of a float CSV
+# rows per write of a float CSV; format_rows holds about 1 MB per chunk
 _CSV_CHUNK = 1024
 
 VERDICT_EXIT_CODES = {
@@ -116,13 +122,14 @@ def _overwrite(path: str):
 
 
 def _write_float_csv(fh, header: str, data: np.ndarray) -> None:
-    """The header line, then one row per row of data, each value as _fmt."""
+    """The header line, then one row per row of data, each value as _fmt.
+
+    format_rows writes the bytes of "%.17g" % x, which is _fmt(x), from a
+    few array passes per chunk; chunks bound its temporaries.
+    """
     fh.write(header)
-    # "%.17g" % x is _fmt(x); chunks keep the strings small
-    row = ",".join(["%.17g"] * data.shape[1]) + "\n"
     for k in range(0, len(data), _CSV_CHUNK):
-        chunk = data[k : k + _CSV_CHUNK]
-        fh.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
+        fh.write(format_rows(data[k : k + _CSV_CHUNK]))
 
 
 def _json_ready(obj):
