@@ -63,9 +63,7 @@ class RootBounds:
     """Moduli bounds for unstable roots plus the constants they came from.
 
     p is the norm exponent (q1+q2)/(2*min(q1,q2)) >= 1; gamma_const and
-    d_const are the gamma and D of the incommensurate derivation and are NaN
-    in the commensurate fallback, where the quadratic in z = s^q is bounded
-    directly instead.
+    d_const are the gamma = max(q1,q2)/min(q1,q2) and D of the derivation.
     """
 
     l: float
@@ -93,41 +91,31 @@ class RootCountReport:
 def unstable_root_bounds(p: CharParams) -> RootBounds:
     """Compute l, L with l <= |s| <= L for every root of Delta with Re s >= 0.
 
-    Incommensurate orders: with m = min(q1, q2), alpha = (q1+q2)/2,
+    With m = min(q1, q2), alpha = (q1+q2)/2,
 
-        p_exp = (q1+q2)/(2m),  q_conj = (q1+q2)/|q1-q2|,
-        gamma = (q_conj+1)/(q_conj-1),
+        p_exp = (q1+q2)/(2m),  gamma = max(q1, q2)/m,
         D = max(delta^(-q1/(2m)), delta^(-q2/(2m))),
         u = D * (|a11|^p_exp + |a22|^p_exp),
         l = (sqrt(delta)*f(u))^(1/alpha),  L = (sqrt(delta)*F(u))^(1/alpha),
 
     with f(u) = (-u + sqrt(u^2+4*gamma))/(2*gamma) and F(u) = u + sqrt(gamma).
-    f is evaluated as 2/(u + sqrt(u^2+4*gamma)) to avoid cancellation, and as
-    1/u once u is large enough that the gamma correction is below double
-    precision.
+    gamma is the paper's (q_conj+1)/(q_conj-1), q_conj = (q1+q2)/|q1-q2|,
+    written so that it stays finite, 1, at q1 = q2 (the Hoelder limit with
+    exponents 1 and infinity). f is evaluated as 2/(u + sqrt(u^2+4*gamma)) to
+    avoid cancellation, and as 1/u once u is large enough that the gamma
+    correction is below double precision.
 
-    Commensurate q1 == q2 == q: gamma degenerates, so the quadratic
-    z^2 - (a11+a22)z + delta in z = s^q is bounded directly:
-    |z| <= ||a||_1 + sqrt(delta) + 1 and |z| >= delta / (||a||_1 + sqrt(delta) + 1),
-    then mapped through |s| = |z|^(1/q).
-
-    Both cases work with log l and log L, since u and the powers overflow
+    The bounds are taken as log l and log L, since u and the powers overflow
     long before the bounds do; AnnulusOutOfRange is raised when l or L falls
     outside [1e-300, 1e300].
     """
     if not p.delta > 0.0:
         raise DeltaNotPositive(f"root bounds require delta > 0, got {p.delta!r}")
     log_delta = math.log(p.delta)
-    if p.q1 == p.q2:
-        q = p.q1
-        log_big = math.log(abs(p.a11) + abs(p.a22) + math.sqrt(p.delta) + 1.0)
-        l, L = _annulus((log_delta - log_big) / q, log_big / q)
-        return RootBounds(l=l, L=L, p=1.0, gamma_const=math.nan, d_const=math.nan)
     m = min(p.q1, p.q2)
     alpha = 0.5 * (p.q1 + p.q2)
     p_exp = alpha / m
-    q_conj = (p.q1 + p.q2) / abs(p.q1 - p.q2)
-    gamma = (q_conj + 1.0) / (q_conj - 1.0)
+    gamma = max(p.q1, p.q2) / m
     log_d = max(-p.q1 * log_delta, -p.q2 * log_delta) / (2.0 * m)
     # log u, with |a11|^p_exp + |a22|^p_exp taken by its larger term
     lo, hi = sorted((abs(p.a11), abs(p.a22)))

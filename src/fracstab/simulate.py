@@ -14,8 +14,10 @@ f is linear, so each step is one solve with the same 2 x 2 matrix
 M = I - Wc A, Wc = diag(h^q/G(q+2)). SingularStep is raised when det M is
 zero to rounding or not finite. The implicit step's stability region is far
 larger than an explicit predictor's, so stiff stable systems need no small
-h. In turn it can damp an unstable root s that the step does not resolve,
-h |s| > 1, so a growing system then may look decaying.
+h. In turn it can damp an unstable root s that the step does not resolve, so
+a growing system then may look decaying: h |s| > 1 is never resolved, and a
+root with Re s << |s| needs h |s| well below 1 (one with Re s / |s| = 0.004
+still looked decaying at h |s| = 0.54).
 
 As written, each weight is a difference of terms up to m^2 times larger than
 itself; `_weights` evaluates both in forms that do not cancel (expm1 and
@@ -40,9 +42,10 @@ Inside one base block the steps are solved together rather than one by one.
 The unknowns z_r = x_{n0+r+1} of the block solve the same unit lower
 triangular block-Toeplitz system in every block, whose inverse is the
 discrete resolvent R_0 = I, R_m = sum_{i<m} K_{m-1-i} R_i, computed once per
-run. A block is z = R * rhs, a direct convolution cut to the block. Where
-R_m leaves [-1e300, 1e300] before the end of a block, blocks are solved in
-pieces short enough for R to stay finite.
+run. A block is z = R * rhs, a direct convolution cut to the block. The base
+block holds 256 steps, or, where R_m leaves [-1e300, 1e300] within the first
+min(256, N) steps of N, the largest power of two of steps over which R stays
+finite.
 """
 
 from __future__ import annotations
@@ -161,7 +164,11 @@ def integrate(
         basis = (mw[:, None, :] * amat.T).reshape(4, 2)
         kern = (basis @ c[:, : min(_BLOCK, n_steps)]).reshape(2, 2, -1)
         res = _resolvent(kern)
-        for n0 in range(0, n_steps, _BLOCK):
+        span = res.shape[2]
+        # a resolvent that overflows inside kern's columns shrinks the base
+        # block to the largest power of two it covers
+        block = _BLOCK if span == kern.shape[2] else 1 << (span.bit_length() - 1)
+        for n0 in range(0, n_steps, block):
             if n0:
                 b = n0 & -n0
                 spectrum = spectra.pop(b, None)
@@ -170,12 +177,16 @@ def integrate(
                 _add_far_field(far, spectrum, x, n0)
                 if n0 + 2 * b < n_steps:
                     spectra[b] = spectrum
-            count = min(_BLOCK, n_steps - n0)
+            count = min(block, n_steps - n0)
             # the block's steps z_r = x_{n0+r+1} are far_{n0+r} + K_r x_{n0}
-            # + sum_{i<r} K_{r-1-i} z_i
+            # + sum_{i<r} K_{r-1-i} z_i, so z is R convolved with the rhs
             rhs = far[n0 : n0 + count] + x[n0] @ kern[:, :, :count].T
             z = x[n0 + 1 : n0 + 1 + count]
-            z[:] = _solve_block(res, kern, rhs)
+            for i in (0, 1):
+                z[:, i] = (
+                    np.convolve(res[i, 0, :count], rhs[:, 0])[:count]
+                    + np.convolve(res[i, 1, :count], rhs[:, 1])[:count]
+                )
             if not np.max(np.abs(z)) <= _OVERFLOW_LIMIT:
                 inside = np.all(np.abs(z) <= _OVERFLOW_LIMIT, axis=1)
                 last = n0 + int(np.argmin(inside))
@@ -205,32 +216,6 @@ def _resolvent(kern: np.ndarray) -> np.ndarray:
         np.dot(krev[:, 2 * (size - m) :], flat[: 2 * m], out=res[m])
     inside = np.all(np.abs(res) <= _OVERFLOW_LIMIT, axis=(1, 2))
     return res.transpose(1, 2, 0)[:, :, : size if inside.all() else np.argmin(inside)].copy()
-
-
-def _solve_block(res: np.ndarray, kern: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve z_r = rhs_r + sum_{i<r} K_{r-1-i} z_i for the rows of rhs.
-
-    z is the resolvent convolved with rhs, in pieces of res.shape[2] rows; the
-    terms of earlier pieces join the right-hand side of later ones. Row r of
-    z depends on rows i <= r of rhs only.
-    """
-    z = np.empty_like(rhs)
-    span = res.shape[2]
-    for start in range(0, len(rhs), span):
-        stop = min(start + span, len(rhs))
-        piece = rhs[start:stop]
-        if start:
-            piece = piece.copy()
-            for i in (0, 1):
-                for l in (0, 1):
-                    piece[:, i] += np.convolve(kern[i, l, : stop - 1], z[:start, l])[start - 1 : stop - 1]
-        width = stop - start
-        for i in (0, 1):
-            z[start:stop, i] = (
-                np.convolve(res[i, 0, :width], piece[:, 0])[:width]
-                + np.convolve(res[i, 1, :width], piece[:, 1])[:width]
-            )
-    return z
 
 
 def _horner(coefs: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:

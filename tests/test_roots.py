@@ -1,5 +1,6 @@
 """Tests for the root-counting oracle: bounds, winding, companion reduction."""
 
+import cmath
 import math
 
 import numpy as np
@@ -70,14 +71,50 @@ def test_commensurate_bounds_and_count():
     # z^2 - 3z + 2 = (z - 1)(z - 2): roots s = z^2 in {1, 4} at q = 1/2
     p = CharParams(1.0, 2.0, 2.0, 0.5, 0.5)
     b = unstable_root_bounds(p)
-    assert b.p == 1.0
-    assert math.isnan(b.gamma_const) and math.isnan(b.d_const)
+    # at q1 = q2 the general bound has gamma = 1, D = delta^(-1/2), p = 1 and
+    # bounds z^2 = (a11 + a22) z - delta by the triangle inequality
+    assert b.p == 1.0 and b.gamma_const == 1.0
+    assert b.d_const == pytest.approx(2.0**-0.5, rel=1e-15)
+    norm1, delta = 3.0, 2.0
+    assert b.l == pytest.approx(((math.sqrt(norm1**2 + 4.0 * delta) - norm1) / 2.0) ** 2, rel=1e-14)
+    assert b.L == pytest.approx((norm1 + math.sqrt(delta)) ** 2, rel=1e-14)
     rep = count_unstable_roots(p)
     assert rep.n_unstable == 2
     roots = polish_unstable_roots(p, expected=2)
     assert sorted(abs(r) for r in roots) == pytest.approx([1.0, 4.0], rel=1e-10)
     for r in roots:
         assert b.l <= abs(r) <= b.L
+
+
+def test_equal_order_bounds_contain_roots():
+    # at q1 = q2 = q, Delta is z^2 - (a11 + a22) z + delta in z = s^q, and a
+    # root s = z^(1/q) is unstable for |Arg z| <= q pi/2; [l, L] must hold
+    # every such |s| and lie strictly inside the earlier closed form
+    # (z-bounds delta/B and B, B = ||a||_1 + sqrt(delta) + 1)
+    rng = np.random.default_rng(3)
+    checked = unstable = 0
+    for _ in range(3000):
+        q = rng.uniform(0.02, 1.0)
+        a11, a22 = rng.uniform(-5.0, 5.0, size=2) * 10.0 ** rng.uniform(-6.0, 6.0, size=2)
+        delta = 10.0 ** rng.uniform(-8.0, 8.0)
+        try:
+            b = unstable_root_bounds(CharParams(a11, a22, delta, q, q))
+        except AnnulusOutOfRange:
+            continue
+        checked += 1
+        log_l, log_L = math.log(b.l), math.log(b.L)
+        log_big = math.log(abs(a11) + abs(a22) + math.sqrt(delta) + 1.0)
+        assert (math.log(delta) - log_big) / q < log_l <= log_L < log_big / q, (a11, a22, delta, q)
+        trace = a11 + a22
+        root = cmath.sqrt(trace * trace - 4.0 * delta)
+        # the larger root, then the other as delta / z1, without cancellation
+        z1 = 0.5 * (trace + root if abs(trace + root) >= abs(trace - root) else trace - root)
+        for z in (z1, delta / z1):
+            if abs(cmath.phase(z)) <= q * math.pi / 2.0:
+                unstable += 1
+                log_s = math.log(abs(z)) / q
+                assert log_l + math.log1p(-1e-12) <= log_s <= log_L, (a11, a22, delta, q, z)
+    assert checked >= 2000 and unstable >= 1000
 
 
 def test_count_reference_cases():

@@ -347,10 +347,14 @@ def test_matches_direct_sum_near_overflow(s, x0, t_end, h, rows, overflowed):
     [
         # I - Wc A is near singular, so each step multiplies the states by up
         # to 4e4 and the block resolvent passes 1e300 long before the states
-        # do: each block is solved in pieces short enough for it to stay finite
+        # do: the base block shrinks to the largest power of two over which
+        # the resolvent stays finite
         (SystemSpec(2.0001, 0.0, 0.0, 2.0001, 1.0, 1.0), (1e-250, 1e-250), 300.0, 1.0, 120, True),
         (SystemSpec(0.95, 0.0, -2.0, -1.0, 0.3, 0.8), (1e-200, 1e-200), 600.0, 2.0, 220, True),
         (SystemSpec(0.96, 0.0, -2.0, -1.0, 0.3, 0.8), (1e-300, 1e-300), 600.0, 2.0, 301, False),
+        # the first system from (1, 1) overflows at row 66, just past its
+        # first 64-step block
+        (SystemSpec(2.0001, 0.0, 0.0, 2.0001, 1.0, 1.0), (1.0, 1.0), 300.0, 1.0, 66, True),
     ],
 )
 def test_block_solve_matches_direct_sum(monkeypatch, s, x0, t_end, h, rows, overflowed):
@@ -361,12 +365,23 @@ def test_block_solve_matches_direct_sum(monkeypatch, s, x0, t_end, h, rows, over
         spans.append(res.shape[2])
         return res
 
+    far_field_starts = []
+
+    def add_far_field(far, spectrum, x, n, _add_far_field=simulate._add_far_field):
+        far_field_starts.append(n)
+        _add_far_field(far, spectrum, x, n)
+
     monkeypatch.setattr(simulate, "_resolvent", resolvent)
+    monkeypatch.setattr(simulate, "_add_far_field", add_far_field)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         traj = integrate(s, x0, t_end, h)
     ref, ref_overflowed = direct_integrate(s, x0, t_end, h)
     assert len(spans) == 1 and spans[0] < _BLOCK
+    # every block starts at a multiple of the largest power of two <= span,
+    # up to the last step solved: the overflowing one, or the run's last
+    block = 1 << (spans[0].bit_length() - 1)
+    assert far_field_starts == list(range(block, rows if overflowed else rows - 1, block))
     assert len(traj.states) == len(ref) == rows
     assert traj.overflowed is ref_overflowed is overflowed
     assert np.max(np.abs(traj.states - ref)) <= 1e-12 * np.max(np.abs(ref))
