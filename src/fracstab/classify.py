@@ -47,6 +47,7 @@ __all__ = [
     "qscan",
     "qscan_verdicts",
     "a2_inequality_check",
+    "tie_tolerance",
 ]
 
 
@@ -124,36 +125,35 @@ def tie_tolerance(a22, phi_value, phi_terms):
 def region_membership(a11: float, a22: float, delta: float) -> RegionMembership:
     """Literal membership in R_u(delta) and R_s(delta); defined for delta > 0 only.
 
-    The inequalities are copied with their exact strictness: R_u uses >= on
-    both branches, R_s uses strict <. The two regions are disjoint.
+    Read off classify_order_independent, which holds the inequalities with
+    their exact strictness: R_u uses >= on both branches, R_s uses strict <.
+    The two regions are disjoint.
     """
     if not delta > 0.0:
         raise DeltaNotPositive(f"R_u/R_s are defined for delta > 0, got {delta!r}")
-    in_ru = (a11 + a22 >= delta + 1.0) or (
-        a11 > 0.0 and a22 > 0.0 and a11 * a22 >= delta
-    )
-    in_rs = (a11 + a22 < 0.0) and (max(a11, a22) < min(1.0, delta))
-    return RegionMembership(in_ru=in_ru, in_rs=in_rs)
+    v = classify_order_independent(a11, a22, delta)
+    return RegionMembership(in_ru=v is not None and v.is_unstable, in_rs=v is not None and v.is_stable)
 
 
-def classify_order_independent(
-    a11: float, a22: float, delta: float
-) -> Verdict | None:
+def classify_order_independent(a11: float, a22: float, delta: float) -> Verdict | None:
     """The order-independent rules alone; None when they are silent.
 
     delta < 0 is unstable for every order pair; for delta > 0, membership in
-    R_u or R_s settles the system. delta = 0 is never settled here.
+    R_u or R_s settles the system, each inequality evaluated once. delta = 0
+    is never settled here, and a NaN delta (an overflowed det) raises
+    DeltaNotPositive.
     """
     if delta < 0.0:
         return Verdict(VerdictKind.UnstableAllOrders, Reason.NegativeDelta)
     if delta == 0.0:
         return None
-    mem = region_membership(a11, a22, delta)
-    if mem.in_ru:
-        if a11 + a22 >= delta + 1.0:
-            return Verdict(VerdictKind.UnstableAllOrders, Reason.SumExceedsDeltaPlusOne)
+    if not delta > 0.0:
+        raise DeltaNotPositive(f"R_u/R_s are defined for delta > 0, got {delta!r}")
+    if a11 + a22 >= delta + 1.0:
+        return Verdict(VerdictKind.UnstableAllOrders, Reason.SumExceedsDeltaPlusOne)
+    if a11 > 0.0 and a22 > 0.0 and a11 * a22 >= delta:
         return Verdict(VerdictKind.UnstableAllOrders, Reason.PositiveProductExceedsDelta)
-    if mem.in_rs:
+    if a11 + a22 < 0.0 and max(a11, a22) < min(1.0, delta):
         return Verdict(VerdictKind.StableAllOrders, Reason.RsMembership)
     return None
 

@@ -50,8 +50,9 @@ __all__ = [
 
 # Below this order gap rho1, rho2 lose all precision (1/sin of a tiny angle);
 # the curve as a point set converges to the commensurate line, so we switch
-# formulas there. Documented approximation zone: w values are not comparable
-# across the switch.
+# formulas there. Approximation zone: w is not comparable across the switch,
+# and phi is off by about 0.2*|q1 - q2| relative, which can exceed the tie
+# band (tests/test_classify.py::test_equal_order_band_near_curve).
 EPS_COMM = 1e-8
 
 _HALF_PI = 0.5 * math.pi
@@ -62,6 +63,11 @@ _STEP_REL = 1e-13
 _FLOOR_ULPS = 4.0 * np.finfo(float).eps
 _NEWTON_MAX = 50
 _RESID_REL = 1e-10
+
+
+def _commensurate(q1, q2):
+    """True where |q1 - q2| <= EPS_COMM, for floats or arrays of orders."""
+    return abs(q1 - q2) <= EPS_COMM
 
 
 @dataclass(frozen=True)
@@ -80,7 +86,7 @@ class CurveParams:
 
     @property
     def commensurate(self) -> bool:
-        return abs(self.q1 - self.q2) <= EPS_COMM
+        return _commensurate(self.q1, self.q2)
 
 
 @dataclass(frozen=True)
@@ -107,7 +113,7 @@ def rho(k: int, q1: float, q2: float) -> float:
     """
     if k not in (1, 2):
         raise ValueError(f"k must be 1 or 2, got {k!r}")
-    if abs(q1 - q2) <= EPS_COMM:
+    if _commensurate(q1, q2):
         raise CommensurateOrders(
             f"rho is singular for |q1 - q2| <= {EPS_COMM:g} (got q1={q1}, q2={q2})"
         )
@@ -122,7 +128,7 @@ def h_func(omega: float, q1: float, q2: float) -> float:
     for q1 < q2 and strictly decreasing for q1 > q2. Commensurate
     (|q1 - q2| <= EPS_COMM): cos(q*pi/2) - w with q = (q1+q2)/2, decreasing.
     """
-    if abs(q1 - q2) <= EPS_COMM:
+    if _commensurate(q1, q2):
         q = 0.5 * (q1 + q2)
         return math.cos(q * math.pi / 2.0) - omega
     r1 = rho(1, q1, q2)
@@ -267,7 +273,7 @@ def phi_orders(delta: float, a11: float, q1, q2) -> tuple[np.ndarray, np.ndarray
     if not np.all((q1 > 0.0) & (q1 <= 1.0) & (q2 > 0.0) & (q2 <= 1.0)):
         raise ValueError("orders must lie in (0, 1]")
     out, terms = np.empty(q1.shape), np.empty(q1.shape)
-    comm = np.abs(q1 - q2) <= EPS_COMM
+    comm = _commensurate(q1, q2)
     for i in map(tuple, np.argwhere(comm)):
         out[i] = phi(CurveParams(delta, float(q1[i]), float(q2[i])), a11)
     terms[comm] = _line_terms(delta, a11, q1[comm], q2[comm])

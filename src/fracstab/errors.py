@@ -4,6 +4,23 @@ Every error raised by fracstab derives from FracstabError, so callers can
 catch the whole family with one clause while tests pin the exact subtype.
 """
 
+__all__ = [
+    "FracstabError",
+    "CommensurateOrders",
+    "BracketFailure",
+    "DeltaNotPositive",
+    "DeltaZeroUnclassified",
+    "DomainError",
+    "ContourThroughRoot",
+    "AnnulusOutOfRange",
+    "RefinementLimit",
+    "NotRational",
+    "DimensionCap",
+    "StepCap",
+    "NotDecaying",
+    "SingularStep",
+]
+
 
 class FracstabError(Exception):
     """Base class for all fracstab errors."""

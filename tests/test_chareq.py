@@ -110,6 +110,20 @@ def test_conjugate_symmetry_examples():
         assert conjugate_symmetry_check(p, s)
 
 
+def test_conjugate_symmetry_time_scaled():
+    # the check is judged against delta_rounding_bound, which scales as Delta
+    # does, so it holds under a time scaling (a11, a22, delta, s) ->
+    # (a11*c^q1, a22*c^q2, delta*c^(q1+q2), c*s) for c over 24 decades
+    rng = np.random.default_rng(29)
+    for _ in range(2000):
+        q1, q2 = (float(q) for q in rng.uniform(0.05, 1.0, 2))
+        a11, a22, delta = (float(a) for a in rng.uniform(-4.0, 4.0, 3))
+        s = complex(rng.uniform(-10, 10), rng.choice([-1, 1]) * rng.uniform(1e-3, 10))
+        c = float(10.0 ** rng.uniform(-12.0, 12.0))
+        p = CharParams(a11 * c**q1, a22 * c**q2, delta * c ** (q1 + q2), q1, q2)
+        assert conjugate_symmetry_check(p, c * s), (p, c * s)
+
+
 def test_conjugate_symmetry_rejects_real_s():
     p = CharParams(1.0, 1.0, 1.0, 0.5, 0.5)
     with pytest.raises(ValueError):

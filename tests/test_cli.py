@@ -152,6 +152,14 @@ def test_exit_code_table(capsys):
     assert set(VERDICT_EXIT_CODES.values()) == {EXIT_STABLE, EXIT_UNSTABLE, EXIT_MARGINAL}
 
 
+def test_classify_overflowed_delta_exit(capsys):
+    # delta = 1e400 - 1e400 is NaN: a data error, not a verdict
+    code, _, err = run_cli(capsys, "classify", "--a11", "1e200", "--a12", "1e200", "--a21", "1e200",
+                           "--a22", "1e200", "--q1", "0.5", "--q2", "0.5")
+    assert code == EXIT_DATA == 65
+    assert "delta > 0" in err
+
+
 def test_classify_marginal_record(capsys):
     code, out, _ = run_cli(capsys, "classify", "--a11", SQRT2, "--a12", 1, "--a21", -2,
                         "--a22", SQRT2, "--q1", "0.5", "--q2", "0.5")
