@@ -10,7 +10,9 @@ outright). Everything in between is order-dependent and decided by the sign
 of the margin a22 - phi(a11) relative to the critical curve: below the curve
 the system is asymptotically stable with algebraic decay exponent
 min(q1, q2), above it unstable, and points on the curve carry pure imaginary
-roots and are reported as marginal, never silently resolved.
+roots and are reported as marginal, never silently resolved. phi comes from
+the crossing frequency omega* of the roots +-i*omega*, by one exact solver
+for every order pair, equal and near-equal orders included (curve.py).
 
 The (q1, q2) rasters of qscan and qscan_verdicts run the region test once per
 system, because its verdict does not depend on the orders, and otherwise find

@@ -1,26 +1,25 @@
 """The critical curve Gamma(delta, q1, q2) and its boundary function phi.
 
-For delta > 0 the set of (a11, a22) where Delta has a pair of pure imaginary
-roots is a smooth parametric curve
+For delta > 0 the (a11, a22) where Delta has roots +-i*omega form a curve,
+the graph of a decreasing concave bijection a22 = phi(a11); the sign of
+a22 - phi(a11) is the whole order-dependent stability test. Eliminating a22
+between the real and imaginary parts of Delta(i*omega) = 0 leaves, with
+s_k = sin(q_k*pi/2) and Q = q1 + q2, one equation for the crossing
+frequency omega* and two equal forms of phi:
 
-    a11(w) = delta^(q1/(q1+q2)) * h(w, q1, q2)
-    a22(w) = delta^(q2/(q1+q2)) * h(-w, q1, q2)
+    s2*omega^Q + a11*sin((q1-q2)*pi/2)*omega^q2 = delta*s1,
+    phi = [omega^q2*sin(Q*pi/2) - a11*omega^(q2-q1)*s2] / s1
+        = [delta*omega^(-q1)*sin(Q*pi/2) - a11*omega^(q2-q1)*s1] / s2.
 
-with
+The order gap multiplies a term instead of dividing one, so one solver
+serves every order pair; at q1 = q2 exactly, omega*^Q = delta.
 
-    h(w, q1, q2) = rho2 * exp(q1*w) - rho1 * exp(-q2*w),
-    rho_k = sin(q_k*pi/2) / sin((q2-q1)*pi/2),          q1 != q2,
-
-and, in the commensurate limit q1 = q2 = q, the straight line parametrized by
-h(w, q, q) = cos(q*pi/2) - w. The curve is the graph of a decreasing concave
-bijection a22 = phi(a11); the sign of a22 - phi(a11) is the whole
-order-dependent stability test.
-
-h is strictly monotone in w: increasing for q1 < q2 and decreasing for q1 > q2
-(rho1, rho2 share the sign of q2 - q1, so both terms of dh/dw carry it), which
-makes a11(w) strictly monotone and w* unique. One bracket-free Newton
-iteration on the logarithm of a11(w) = a11 finds it, for one order pair or
-for arrays of them. The commensurate h is decreasing by construction.
+The paper parametrizes Gamma by w = log(omega) - log(delta)/Q, as
+a11 = delta^(q1/Q)*h(w, q1, q2) and a22 = delta^(q2/Q)*h(-w, q1, q2) with
+h = rho2*exp(q1*w) - rho1*exp(-q2*w), rho_k = sin(q_k*pi/2)/sin((q2-q1)*pi/2);
+rho, h_func, curve_point and sample_curve sample Gamma so. Where
+|q1 - q2| <= EPS_COMM the rho_k lose all precision, and they sample the line
+that Gamma is at q1 = q2 = q, parametrized by h(w, q, q) = cos(q*pi/2) - w.
 """
 
 from __future__ import annotations
@@ -48,11 +47,7 @@ __all__ = [
     "u_max",
 ]
 
-# Below this order gap rho1, rho2 lose all precision (1/sin of a tiny angle);
-# the curve as a point set converges to the commensurate line, so we switch
-# formulas there. Approximation zone: w is not comparable across the switch,
-# and phi is off by about 0.2*|q1 - q2| relative, which can exceed the tie
-# band (tests/test_classify.py::test_equal_order_band_near_curve).
+# the order gap below which rho, h_func and curve_point sample the equal-order line
 EPS_COMM = 1e-8
 
 _HALF_PI = 0.5 * math.pi
@@ -145,139 +140,143 @@ def curve_point(cp: CurveParams, omega: float) -> CurvePoint:
     return CurvePoint(omega, a11, a22)
 
 
-def _omega_star(delta: float, a11: float, q1, q2):
-    """(w*, phi(a11), T_phi) off the commensurate band; q1, q2 floats or arrays.
+def _equal_orders(delta: float, a11: float, q):
+    """(w*, phi(a11), T_phi) at q1 = q2 = q, a float or an array.
 
-    With a, b = min, max(q1, q2), v = sign(q2 - q1)*w, d = |sin((q2-q1)*pi/2)|
-    and S = delta^(q1/(q1+q2)), for either order of q1 and q2
-
-        S*h(w) = P*exp(a*v) - N*exp(-b*v),  P = S*sin(b*pi/2)/d,  N = S*sin(a*pi/2)/d.
-
-    Moving the term of the other sign to a11's side and taking logs turns
-    S*h(w) = a11 into
-
-        K(u) = alpha*u - logaddexp(log(|a11|/A), log(B/A) - beta*u) = 0,
-
-    (A, alpha, B, beta, u) = (P, a, N, b, v) for a11 >= 0, (N, b, P, a, -v)
-    otherwise. K is increasing and concave from -inf to +inf, so Newton from
-    u = 0 needs no bracket: after the first step the iterates lie left of the
-    root and rise to it (Fourier's condition). logaddexp cannot overflow, and
-    S and d cancel from B/A, so large logarithms enter only with a11's weight.
-    The same ufunc body runs on floats and arrays. Newton stops on a step
-    below 1e-13*max(1, |u|) or a |K| at its rounding floor; more than
-    _NEWTON_MAX steps, or a final |K| (a relative residual) above 1e-10,
-    raises BracketFailure. phi = delta^(q2/(q1+q2))*h(-w*) is +-inf where it
-    leaves double range. T_phi is the sum of the moduli of phi's two terms,
-    which bounds phi's rounding and scales as phi does under time scaling.
+    omega*^(2q) = delta, so w* = 0 and phi = 2*sqrt(delta)*cos(q*pi/2) - a11,
+    with cos(q*pi/2) as sin((1-q)*pi/2): 0 at q = 1, not cos(fl(pi/2)) = 6e-17.
     """
-    if not math.isfinite(a11):
-        raise ValueError(f"a11 must be finite, got {a11!r}")
+    line = 2.0 * math.sqrt(delta) * np.sin((1.0 - q) * _HALF_PI)
+    return 0.0, line - a11, line + abs(a11)
+
+
+def _omega_star(delta: float, a11: float, q1, q2):
+    """(w*, phi(a11), T_phi) for q1 != q2; q1, q2 floats or arrays.
+
+    Divided by omega^q2 and written in w, the frequency equation reads
+    s2*exp(q1*w) + C = s1*exp(-q2*w), C = a11*sin((q1-q2)*pi/2)*delta^(-q1/Q).
+    With (alpha, beta, s) = (min(q1, q2), max(q1, q2), 1) for a11 >= 0, else
+    (max, min, -1), and u = s*sign(q2 - q1)*w, moving C to the side where it
+    adds and taking logs gives
+
+        K(u) = alpha*u - logaddexp(log(|C|/s_beta), log(s_alpha/s_beta) - beta*u) = 0,
+
+    increasing and concave from -inf to +inf, so Newton from u = 0 needs no
+    bracket: after the first step the iterates lie left of the root and rise
+    to it (Fourier's condition). Newton stops on a step below
+    1e-13*max(1, |u|) or a |K| at its rounding floor; more than _NEWTON_MAX
+    steps, or a final |K| above 1e-10, raises BracketFailure.
+
+    phi takes the form of the module docstring with s_beta in the
+    denominator. Where a11 > 0 the other form can cancel by a factor of
+    order (s_beta/s_alpha)^2; this one never has larger terms than the
+    1/sin((q2-q1)*pi/2) form of h. T_phi, the sum of the moduli of the terms,
+    bounds phi's rounding and scales as phi does under time scaling. Scaled
+    by the larger term, phi is +-inf past double range, never NaN.
+    sin(Q*pi/2) for Q > 1 is sin((2-Q)*pi/2), from the exact 1 - q_k.
+    """
     a, b = np.minimum(q1, q2), np.maximum(q1, q2)
-    d = abs(np.sin((q2 - q1) * _HALF_PI))
-    p, n = np.sin(b * _HALF_PI) / d, np.sin(a * _HALF_PI) / d  # P/S, N/S
-    log_c = math.log(abs(a11)) if a11 else -math.inf
-    log_c = log_c - q1 / (q1 + q2) * math.log(delta)  # log(|a11|/S)
-    if a11 >= 0.0:
-        alpha, beta, sign, log_ca = a, b, 1.0, log_c - np.log(p)
-    else:
-        alpha, beta, sign, log_ca = b, a, -1.0, log_c - np.log(n)
-    log_ba = sign * np.log(n / p)
+    total, gap = q1 + q2, q2 - q1
+    log_delta = math.log(delta)
+    log_a11 = math.log(abs(a11)) if a11 else -math.inf
+    alpha, beta, sign = (a, b, 1.0) if a11 >= 0.0 else (b, a, -1.0)
+    s_alpha, s_beta = np.sin(alpha * _HALF_PI), np.sin(beta * _HALF_PI)
+    log_ca = log_a11 + np.log(abs(np.sin(gap * _HALF_PI)) / s_beta) - q1 / total * log_delta
+    log_ba = np.log(s_alpha / s_beta)
     u = 0.0 * a  # zero, shaped like the orders
-    step = math.inf
-    done = False
+    step, done = math.inf, False
     for _ in range(_NEWTON_MAX + 1):
-        lae = np.logaddexp(log_ca, log_ba - beta * u)
-        k = alpha * u - lae
-        floor = _FLOOR_ULPS * (abs(alpha * u) + abs(lae))
-        short = (abs(step) <= _STEP_REL) | (abs(step) <= _STEP_REL * abs(u))
-        done = done | short | (abs(k) <= floor)
+        other = log_ba - beta * u
+        lae = np.logaddexp(log_ca, other)
+        own = alpha * u
+        k = own - lae
+        short = abs(step) <= _STEP_REL * np.maximum(1.0, abs(u))
+        done = done | short | (abs(k) <= _FLOOR_ULPS * (abs(own) + abs(lae)))
         if done.all():
             break
-        step = k / (alpha + beta * np.exp(log_ba - beta * u - lae))
+        step = k / (alpha + beta * np.exp(other - lae))
         u = u - step
     else:
         raise BracketFailure(f"Newton for omega* did not settle in {_NEWTON_MAX} steps")
     if (abs(k) > _RESID_REL).any():
-        raise BracketFailure(
-            f"omega* log residual {np.max(abs(k)):.3e} exceeds {_RESID_REL:g}"
-        )
-    v = sign * u
-    with np.errstate(over="ignore"):
-        scale = delta ** (q2 / (q1 + q2))
-        plus, minus = p * np.exp(-a * v), n * np.exp(b * v)
-        phi_val = scale * (plus - minus)
-        terms = scale * (plus + minus)
-    return np.sign(q2 - q1) * v, phi_val, terms
+        raise BracketFailure(f"omega* log residual {np.max(abs(k)):.3e} exceeds {_RESID_REL:g}")
+    w = sign * np.sign(gap) * u
+    s_total = np.sin(np.minimum(total, (1.0 - q1) + (1.0 - q2)) * _HALF_PI)
+    # phi = [V*sin(Q*pi/2) - a11*omega^(q2-q1)*s_alpha] / s_beta, where V is
+    # omega^q2 for alpha = q2 and delta*omega^(-q1) for alpha = q1
+    log1 = (q2 / total * log_delta + np.log(s_total / s_beta)) - alpha * u
+    log2 = (log_a11 + gap / total * log_delta + log_ba) + gap * w
+    top = np.maximum(log1, log2)
+    r1, r2 = np.exp(log1 - top), np.exp(log2 - top)
+    rest = r1 - sign * r2  # phi / exp(top), in [-1, 2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.exp(top)
+        phi_val = np.where(rest == 0.0, 0.0, scale * rest)  # not inf * 0
+        terms = scale * (r1 + r2)
+    return w, phi_val, terms
+
+
+def _crossing(cp: CurveParams, a11: float) -> tuple[float, float, float]:
+    """(w*, phi(a11), T_phi) for one order pair."""
+    if not math.isfinite(a11):
+        raise ValueError(f"a11 must be finite, got {a11!r}")
+    if cp.q1 == cp.q2:
+        w, val, terms = _equal_orders(cp.delta, a11, cp.q1)
+    else:
+        w, val, terms = _omega_star(cp.delta, a11, cp.q1, cp.q2)
+    return float(w), float(val), float(terms)
 
 
 def solve_omega_star(cp: CurveParams, a11: float) -> float:
-    """Invert a11(w) = delta^(q1/(q1+q2)) * h(w): the unique w* hitting a11.
+    """w* = log(omega*) - log(delta)/(q1+q2) at a11; continuous, 0 at q1 = q2.
 
-    Commensurate band: the equation is linear in w and solved in closed form.
-    Otherwise _omega_star runs bracket-free Newton on the logarithm of the
-    equation; strict monotonicity of h gives uniqueness.
+    For |q1 - q2| <= EPS_COMM curve_point samples the equal-order line by a
+    parameter that is not w*, so curve_point(cp, w*).a11 == a11 only off it.
     """
-    if not math.isfinite(a11):
-        raise ValueError(f"a11 must be finite, got {a11!r}")
-    if cp.commensurate:
-        q = 0.5 * (cp.q1 + cp.q2)
-        return math.cos(q * math.pi / 2.0) - a11 / math.sqrt(cp.delta)
-    return float(_omega_star(cp.delta, a11, cp.q1, cp.q2)[0])
+    return _crossing(cp, a11)[0]
 
 
 def phi(cp: CurveParams, a11: float) -> float:
-    """The boundary function phi(a11) = delta^(q2/(q1+q2)) * h(-w*, q1, q2).
+    """The boundary function phi(a11): a22 on Gamma above a11.
 
     As a function of a11 it is a decreasing, concave bijection of the real
     line; a22 < phi(a11) is the order-dependent stability condition. A phi
     beyond double range is returned as +-inf.
     """
-    if not cp.commensurate:
-        return float(_omega_star(cp.delta, a11, cp.q1, cp.q2)[1])
-    w_star = solve_omega_star(cp, a11)
-    e2 = cp.q2 / (cp.q1 + cp.q2)
-    return cp.delta**e2 * h_func(-w_star, cp.q1, cp.q2)
-
-
-def _line_terms(delta: float, a11: float, q1, q2):
-    # T_phi on the commensurate line phi = 2*sqrt(delta)*cos(q*pi/2) - a11
-    return 2.0 * math.sqrt(delta) * np.cos(0.25 * math.pi * (q1 + q2)) + abs(a11)
+    return _crossing(cp, a11)[1]
 
 
 def phi_terms(cp: CurveParams, a11: float) -> tuple[float, float]:
     """(phi(a11), T_phi), with T_phi the sum of the moduli of phi's terms.
 
-    T_phi bounds the magnitudes phi is computed from, so eps*T_phi is the
-    scale of phi's rounding; it scales exactly as phi does under time
-    scaling. Off the commensurate band the terms are the two exponentials
-    of _omega_star; on it, 2*sqrt(delta)*cos(q*pi/2) and a11.
+    eps*T_phi is the scale of phi's rounding (_omega_star); T_phi scales
+    exactly as phi does under time scaling.
     """
-    if cp.commensurate:
-        return phi(cp, a11), float(_line_terms(cp.delta, a11, cp.q1, cp.q2))
-    _, val, terms = _omega_star(cp.delta, a11, cp.q1, cp.q2)
-    return float(val), float(terms)
+    return _crossing(cp, a11)[1:]
 
 
 def phi_orders(delta: float, a11: float, q1, q2) -> tuple[np.ndarray, np.ndarray]:
     """phi_terms(CurveParams(delta, q1, q2), a11) for every order pair of two arrays.
 
     q1 and q2 broadcast against each other; returns the arrays of phi and
-    T_phi. Commensurate pairs go through phi itself; all others go through
-    the Newton iteration of _omega_star at once, which raises BracketFailure
-    if any cell fails. The scalar phi runs the same iteration, so values
-    agree to rounding, not always bitwise.
+    T_phi. Pairs with q1 == q2 go through phi itself, in closed form; the
+    others through the Newton iteration of _omega_star at once, which raises
+    BracketFailure if any cell fails. The scalar phi runs the same
+    iteration, so values agree to rounding, not always bitwise.
     """
     if not (math.isfinite(delta) and delta > 0.0):
         raise ValueError(f"delta must be finite and > 0, got {delta!r}")
+    if not math.isfinite(a11):
+        raise ValueError(f"a11 must be finite, got {a11!r}")
     q1, q2 = np.broadcast_arrays(np.asarray(q1, dtype=float), np.asarray(q2, dtype=float))
     if not np.all((q1 > 0.0) & (q1 <= 1.0) & (q2 > 0.0) & (q2 <= 1.0)):
         raise ValueError("orders must lie in (0, 1]")
     out, terms = np.empty(q1.shape), np.empty(q1.shape)
-    comm = _commensurate(q1, q2)
-    for i in map(tuple, np.argwhere(comm)):
+    equal = q1 == q2
+    for i in map(tuple, np.argwhere(equal)):
         out[i] = phi(CurveParams(delta, float(q1[i]), float(q2[i])), a11)
-    terms[comm] = _line_terms(delta, a11, q1[comm], q2[comm])
-    _, out[~comm], terms[~comm] = _omega_star(delta, a11, q1[~comm], q2[~comm])
+    terms[equal] = _equal_orders(delta, a11, q1[equal])[2]
+    _, out[~equal], terms[~equal] = _omega_star(delta, a11, q1[~equal], q2[~equal])
     return out, terms
 
 

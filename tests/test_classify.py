@@ -343,6 +343,28 @@ def test_a2_inequality_random_with_reflection():
         assert a2_inequality_check(x, y, 1.0 / alpha)
 
 
+def crossing_phi_mp(mp, delta, a11, q1, q2, log_omega):
+    """phi from the crossing-frequency equation at mp's precision.
+
+    The equation divided by omega^q2 increases in x = log(omega); its root
+    is bracketed outward from the estimate log_omega, then polished.
+    """
+    d, a, x1, x2 = (mp.mpf(v) for v in (delta, a11, q1, q2))
+    half_pi = mp.pi / 2
+    s1, s2 = mp.sin(x1 * half_pi), mp.sin(x2 * half_pi)
+    c = a * mp.sin((x1 - x2) * half_pi)
+
+    def g(x):
+        return s2 * mp.exp(x1 * x) + c - d * s1 * mp.exp(-x2 * x)
+
+    lo = hi = mp.mpf(log_omega)
+    width = mp.mpf(1e-6)
+    while g(lo) > 0 or g(hi) < 0:
+        lo, hi, width = lo - width, hi + width, 2 * width
+    x = mp.findroot(g, (lo, hi), solver="anderson")
+    return (mp.exp(x2 * x) * mp.sin((x1 + x2) * half_pi) - a * mp.exp((x2 - x1) * x) * s2) / s1
+
+
 def test_margin_within_tie_band():
     # against 50 digits the margin's error stays below an eighth of the tie
     # band 1e-12*(|a22| + T_phi), on systems time-scaled over 24 decades
@@ -358,7 +380,7 @@ def test_margin_within_tie_band():
         c = 10.0 ** rng.uniform(-12.0, 12.0)
         a11, a22, delta = float(a11 * c**q1), float(a22 * c**q2), float(delta * c ** (q1 + q2))
         v = _classify_params(a11, a22, delta, q1, q2)
-        if v.phi_value is None or abs(q1 - q2) <= curve.EPS_COMM:
+        if v.phi_value is None:
             continue
         d, x1, x2 = (mp.mpf(x) for x in (delta, q1, q2))
         den = mp.sin((x2 - x1) * half_pi)
@@ -370,17 +392,43 @@ def test_margin_within_tie_band():
         assert abs(v.margin - margin) <= v.tie_band / 8, (a11, a22, delta, q1, q2)
         checked += 1
     assert checked > 500
+    # orders 1e-12 to 1e-7 apart, and orders near q1 = q2 = 1, where the
+    # paper's rho_k are singular or sin(Q*pi/2) is small: judged against the
+    # crossing-frequency equation, which is regular there
+    near = {"equal": 0, "two": 0}
+    for kind in ("equal", "two") * 200:
+        a11, a22 = rng.uniform(-5.0, 5.0, 2)
+        delta = rng.uniform(0.1, 10.0)
+        if kind == "equal":
+            q1 = float(rng.uniform(0.02, 1.0))
+            q2 = float(np.clip(q1 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12.0, -7.0), 0.02, 1.0))
+        else:
+            q1, q2 = (float(1.0 - 10.0 ** e) for e in rng.uniform(-12.0, -1.0, 2))
+        c = 10.0 ** rng.uniform(-12.0, 12.0)
+        a11, a22, delta = float(a11 * c**q1), float(a22 * c**q2), float(delta * c ** (q1 + q2))
+        v = _classify_params(a11, a22, delta, q1, q2)
+        if v.phi_value is None:
+            continue
+        log_omega = curve.solve_omega_star(CurveParams(delta, q1, q2), a11) + math.log(delta) / (q1 + q2)
+        margin = a22 - crossing_phi_mp(mp, delta, a11, q1, q2, log_omega)
+        assert abs(v.margin - margin) <= v.tie_band / 8, (a11, a22, delta, q1, q2)
+        near[kind] += 1
+    assert min(near.values()) > 50, near
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="inside the equal-order band |q1 - q2| <= EPS_COMM, phi is the line at the mean "
-    "order, whose error (about 0.2*|q1 - q2| relative) is far above the tie band",
-)
+def test_equal_orders_one():
+    # at q1 = q2 = 1, Delta = s^2 - 1e-16*s + 1 has the roots 5e-17 +- i, so the
+    # system is unstable. phi = 2*cos(pi/2) - a11 is exactly 0; cos(fl(pi/2))
+    # would put it at 1.2e-16, above a22
+    s = SystemSpec(0.0, 1.0, -1.0, 1e-16, 1.0, 1.0)
+    v = classify(s)
+    assert v.kind is VerdictKind.UnstableForOrders and v.phi_value == 0.0, v
+    assert qscan_verdicts(s.a11, s.a22, s.delta(), 2)[1, 1] == 0
+
+
 def test_equal_order_band_near_curve():
-    # orders 5e-9 apart, a22 1.3e-10 above Gamma: the system is unstable, but
-    # the line's phi lies 1.2e-9 above a22, so classify says StableForOrders
+    # orders 5e-9 apart, a22 1.3e-10 above Gamma: the system is unstable, which
+    # a phi taken from the equal-order line (1.2e-9 off) would miss
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 50
     s = SystemSpec(0.7, 1.0, -1.0900000046789828, 1.2999999933157391, 0.5, 0.500000005)

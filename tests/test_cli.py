@@ -116,6 +116,12 @@ def test_exit_code_table(capsys):
         (EXIT_STABLE, ["classify", "--a11=-2.2814654987813964e-10", "--a12", 1,
                        "--a21=-5.966823883541333e-21", "--a22", "2.171967454510328e-11",
                        "--q1", "0.8768645755138017", "--q2", "0.9328890998522735"]),
+        # Delta = s^2 - 1e-16*s + 1 has the roots 5e-17 +- i; phi = 2*cos(pi/2) - a11 is 0
+        (EXIT_UNSTABLE, ["classify", "--a11", 0, "--a12", 1, "--a21=-1", "--a22", "1e-16",
+                         "--q1", 1, "--q2", 1]),
+        # orders 5e-9 apart, a22 1.3e-10 above Gamma
+        (EXIT_UNSTABLE, ["classify", "--a11", "0.7", "--a12", 1, "--a21=-1.0900000046789828",
+                         "--a22", "1.2999999933157391", "--q1", "0.5", "--q2", "0.500000005"]),
         (EXIT_MARGINAL, ["classify", "--a11", SQRT2, "--a12", 1, "--a21", -2,
                          "--a22", SQRT2, "--q1", "0.5", "--q2", "0.5"]),
         (EXIT_MARGINAL, ["classify", "--a11", 1, "--a12", 1, "--a21", 1, "--a22", 1,

@@ -126,7 +126,7 @@ def test_solve_omega_star_reference():
 
 def test_solve_omega_star_symmetric_points():
     assert solve_omega_star(CurveParams(1.0, 1 / 3, 2 / 3), math.sqrt(3.0) - 1.0) == pytest.approx(0.0, abs=1e-12)
-    # commensurate branch is linear in omega
+    # w* = 0 at equal orders
     assert solve_omega_star(CurveParams(4.0, 0.5, 0.5), math.sqrt(2.0)) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -166,8 +166,7 @@ def test_phi_decreasing_and_concave():
 
 
 def test_phi_continuous_across_commensurate_switch():
-    # the incommensurate formula must approach the commensurate line as
-    # the order gap collapses onto the switching threshold
+    # phi approaches the equal-order line as the order gap closes
     v_comm = phi(CurveParams(2.0, 0.6, 0.6), 0.4)
     v_near = phi(CurveParams(2.0, 0.6, 0.6 + 2e-8), 0.4)
     assert v_near == pytest.approx(v_comm, rel=1e-5)
@@ -264,16 +263,18 @@ def test_phi_orders_past_scalar_overflow():
 
 
 def test_phi_past_double_range():
-    # phi(1e7) is about -e^(1e4): -inf on both paths, not OverflowError
-    cp = CurveParams(1.0, 1.0, 1.0 / 48)
-    assert phi(cp, 1e7) == -math.inf
-    assert float(phi_orders(cp.delta, 1e7, cp.q1, cp.q2)[0]) == -math.inf
+    # phi(1e7) is about -e^(1e4): -inf on both paths, not OverflowError.
+    # At orders (0.1, 0.9) and a11 = 1e40 both of phi's terms leave double
+    # range together; their difference is -inf too, not inf - inf = NaN
+    for cp, a11 in ((CurveParams(1.0, 1.0, 1.0 / 48), 1e7), (CurveParams(1.0, 0.1, 0.9), 1e40)):
+        assert phi(cp, a11) == -math.inf
+        assert float(phi_orders(cp.delta, a11, cp.q1, cp.q2)[0]) == -math.inf
 
 
 def test_omega_star_near_band_settles():
-    # just outside the commensurate band the step rule alone cycles at 1.4e-13
-    # of |w|; the residual's rounding floor ends the iteration. The value is
-    # a 50-digit mpmath root of the curve equation.
+    # at orders 5e-6 apart the step rule alone cycles at 1.4e-13 of |w|; the
+    # residual's rounding floor ends the iteration. The value is a 50-digit
+    # mpmath root of the curve equation.
     cp = CurveParams(88378715.01227283, 0.0129472878796884, 0.012952545371486105)
     w = solve_omega_star(cp, 0.00028074676134855144)
     assert w == pytest.approx(-0.015673094396100526965, rel=1e-12, abs=0.0)
