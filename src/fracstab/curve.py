@@ -121,11 +121,13 @@ def h_func(omega: float, q1: float, q2: float) -> float:
 
     Incommensurate: rho2*exp(q1*w) - rho1*exp(-q2*w), strictly increasing in w
     for q1 < q2 and strictly decreasing for q1 > q2. Commensurate
-    (|q1 - q2| <= EPS_COMM): cos(q*pi/2) - w with q = (q1+q2)/2, decreasing.
+    (|q1 - q2| <= EPS_COMM): cos(q*pi/2) - w with q = (q1+q2)/2, decreasing;
+    cos(q*pi/2) is taken as sin((1-q)*pi/2), as in _equal_orders, so the line
+    is a11 + a22 = 0 exactly at q = 1.
     """
     if _commensurate(q1, q2):
         q = 0.5 * (q1 + q2)
-        return math.cos(q * math.pi / 2.0) - omega
+        return math.sin((1.0 - q) * _HALF_PI) - omega
     r1 = rho(1, q1, q2)
     r2 = rho(2, q1, q2)
     return r2 * math.exp(q1 * omega) - r1 * math.exp(-q2 * omega)

@@ -64,9 +64,12 @@ class AnnulusOutOfRange(FracstabError):
 class RefinementLimit(FracstabError):
     """A winding did not settle to a nonnegative integer, or the locator could not place its roots.
 
-    polish_unstable_roots raises it when no half-annulus holds the complex
-    pairs of its count, when cells do not separate the roots or when Newton
-    cannot converge inside them; a wrong expected count ends here.
+    polish_unstable_roots raises it when its count is neither the number of
+    positive real roots nor 2 with no positive real root, when a22 does not
+    lie above phi(a11), when the continuation from Gamma stalls (a step below
+    1e-14*(|a22| + |phi|), as at a double root where the pair meets the real
+    axis) or when it ends outside Re s >= 0, Im s > 0; a wrong expected count
+    ends here.
     """
 
 

@@ -1,16 +1,20 @@
 """Independent root-count verification for the characteristic function.
 
-Three cross-checking instruments, none of which uses the curve machinery:
+Three cross-checking instruments:
 
 * explicit modulus bounds l <= |s| <= L valid for every root with Re s >= 0,
   which make the right half-plane effectively compact;
 * an argument-principle winding count of Delta around one rectangle in
   w = log s, the bounded half-annulus, with adaptive phase tracking; the
-  same winding, on halved cells, locates every counted complex root or
-  raises, while the positive real roots are isolated exactly between the
-  critical points of Delta on the real axis;
+  positive real roots are isolated exactly between the critical points of
+  Delta on the real axis, and a complex pair is continued from Gamma;
 * for rational orders, reduction to a single-order companion system checked
   against the eigenvalue sector criterion (|Arg lambda| > pi/(2n)).
+
+The count and the companion test use none of the curve machinery, so they
+check classify's side of Gamma instead of repeating it. The locator takes
+only its start from Gamma; the residual, the quadrant and the count certify
+the root, so a wrong start can make it raise but not return another root.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chareq import CharParams, SystemSpec, delta_eval, delta_rounding_bound, principal_power
+from .chareq import CharParams, SystemSpec, delta_eval, delta_rounding_bound
+from .curve import CurveParams, _crossing
 from .errors import (
     AnnulusOutOfRange,
     ContourThroughRoot,
@@ -48,9 +53,8 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 _HALF_PI = 0.5 * math.pi
 _MAX_DEPTH = 24  # bisections of one contour step
-_MAX_SPLITS = 100  # cell halvings before close roots count as inseparable
-# a cell's Newton accepts |Delta| within this many rounding bounds, in at most
-# _NEWTON_MAX steps
+# the locator's Newton accepts |Delta| within this many rounding bounds, in at
+# most _NEWTON_MAX steps
 _NEWTON_ROUNDINGS = 64.0
 _NEWTON_MAX = 80
 # l and L must lie in [1e-300, 1e300], so the contour radii stay doubles
@@ -302,91 +306,86 @@ def positive_real_roots(p: CharParams) -> list[float]:
     return [math.exp(x) for x in _sign_change_zeros(delta, pieces)]
 
 
-def _delta_prime(p: CharParams, s: complex) -> complex:
-    return (
-        (p.q1 + p.q2) * principal_power(s, p.q1 + p.q2 - 1.0)
-        - p.a11 * p.q2 * principal_power(s, p.q2 - 1.0)
-        - p.a22 * p.q1 * principal_power(s, p.q1 - 1.0)
-    )
+def _delta_w(p: CharParams, w: complex) -> tuple[complex, complex]:
+    # Delta(e^w) and its derivative in w, s*Delta'(s), from one set of powers
+    total = p.q1 + p.q2
+    t_q, t_2, t_1 = cmath.exp(total * w), p.a11 * cmath.exp(p.q2 * w), p.a22 * cmath.exp(p.q1 * w)
+    return t_q - t_2 - t_1 + p.delta, total * t_q - p.q2 * t_2 - p.q1 * t_1
 
 
-def _newton_in_cell(
-    p: CharParams, x0: float, x1: float, y0: float, y1: float
-) -> complex | None:
-    # Newton on Delta(e^w) from the cell centre; None once an iterate leaves
-    # the cell, so a root it returns is the one the cell's winding counted
-    w = complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))
+def _newton_upper(p: CharParams, w: complex, x0: float, x1: float) -> complex | None:
+    # Newton on Delta(e^w) from w; None once an iterate leaves the box
+    # x0 <= Re w <= x1, 0 < Im w <= pi/2
     for _ in range(_NEWTON_MAX):
-        s = _exp_w(w.real, w.imag)
-        f = delta_eval(p, s)
-        if abs(f) <= _NEWTON_ROUNDINGS * delta_rounding_bound(p, s):
-            return s
-        df = s * _delta_prime(p, s)
+        if not (x0 <= w.real <= x1 and 0.0 < w.imag <= _HALF_PI):
+            return None
+        f, df = _delta_w(p, w)
+        if abs(f) <= _NEWTON_ROUNDINGS * delta_rounding_bound(p, cmath.exp(w)):
+            return w
         if df == 0:
             return None
         w -= f / df
-        if not (x0 <= w.real <= x1 and y0 <= w.imag <= y1):
-            return None
     return None
+
+
+def _continue_pair(p: CharParams) -> complex:
+    # the unstable root in Im s > 0, continued in a22 from phi(a11), where it
+    # is i*omega*: an Euler step in w = log s, dw/da22 = s^q1/(s*Delta'(s)),
+    # then Newton; the step grows by 1.5 on success, shrinks by 4 on failure
+    w_star, phi0, _ = _crossing(CurveParams(p.delta, p.q1, p.q2), p.a11)
+    if not (math.isfinite(phi0) and p.a22 > phi0):
+        raise RefinementLimit(f"a22 = {p.a22:.17g} does not lie above phi(a11) = {phi0:.17g}")
+    # the bounds grow with |a22|, so the annulus at the larger of |a22| and
+    # |phi| holds every unstable root on the path
+    far = CharParams(p.a11, max(abs(p.a22), abs(phi0)), p.delta, p.q1, p.q2)
+    x0, x1 = _log_annulus(far, unstable_root_bounds(far))
+    w = complex(w_star + math.log(p.delta) / (p.q1 + p.q2), _HALF_PI)
+    t, at, step = phi0, CharParams(p.a11, phi0, p.delta, p.q1, p.q2), p.a22 - phi0
+    while t < p.a22:
+        if step < 1e-14 * (abs(p.a22) + abs(phi0)):
+            raise RefinementLimit(f"continuation stalled at a22 = {t:.17g} on the way to {p.a22:.17g}")
+        t_next = min(t + step, p.a22)
+        nxt = p if t_next == p.a22 else CharParams(p.a11, t_next, p.delta, p.q1, p.q2)
+        slope = _delta_w(at, w)[1]
+        guess = w + (t_next - t) * cmath.exp(p.q1 * w) / slope if slope else w
+        w_next = _newton_upper(nxt, guess, x0, x1)
+        if w_next is None:
+            step *= 0.25
+        else:
+            w, t, at, step = w_next, t_next, nxt, 1.5 * step
+    s = cmath.exp(w)
+    if not (s.real >= 0.0 and s.imag > 0.0):
+        raise RefinementLimit(f"continuation ended at {s}, outside Re s >= 0, Im s > 0")
+    return s
 
 
 def polish_unstable_roots(
     p: CharParams, expected: int | None = None
 ) -> list[complex]:
-    """Locate all `expected` roots behind a winding count, or raise.
+    """Locate all `expected` roots behind a root count, or raise.
 
     Positive real roots come from positive_real_roots, which isolates them
-    exactly between Delta's critical points on the real axis. The complex
-    pairs lie in the part [t_b, pi/2] of count_unstable_roots' log-plane
-    rectangle, for the first t_b in 1e-3, 1e-6, ... that holds all of them.
-    A rung whose edge runs through a root does not hold them. Cells are
-    halved along their longer side in w, one half recounted and the other
-    given the remainder, until a cell holds one root; Newton on Delta(e^w)
-    from its centre must keep every iterate in the cell and bring |Delta|
-    within _NEWTON_ROUNDINGS rounding bounds (delta_rounding_bound, relative
-    to the term majorant) in _NEWTON_MAX steps, or the cell is split again.
-    Conjugates are mirrored. Returns exactly `expected` roots sorted by
-    (real, imag), or raises RefinementLimit (or ContourThroughRoot, for a
-    cell edge through a root).
+    exactly between Delta's critical points on the real axis. A count is at
+    most 2, so a count of 2 with no positive real root is one complex pair,
+    and any other count must equal the number of real roots. The pair is
+    continued in a22 from (a11, phi(a11)) on Gamma, where it is +-i*omega*,
+    by Newton on Delta(e^w) at each step: every iterate keeps
+    0 < Arg s <= pi/2, and |Delta| must come within _NEWTON_ROUNDINGS
+    rounding bounds (delta_rounding_bound) in _NEWTON_MAX steps. The
+    residual, the quadrant and the count certify the root. Returns exactly
+    `expected` roots sorted by (real, imag), or raises RefinementLimit.
     """
     if expected is None:
         expected = count_unstable_roots(p).n_unstable
     if expected == 0:
         return []
     real = positive_real_roots(p)
-    pairs, odd = divmod(expected - len(real), 2)
-    if odd or pairs < 0:
-        raise RefinementLimit(f"{len(real)} positive real roots do not fit a count of {expected}")
     found = [complex(r, 0.0) for r in real]
-    if pairs:
-        x0, x1 = _log_annulus(p, unstable_root_bounds(p))
-        for t_b in (1e-3, 1e-6, 1e-9, 1e-12):
-            try:
-                if _winding(p, x0, x1, t_b, _HALF_PI)[0] == pairs:
-                    break
-            except ContourThroughRoot:
-                continue
-        else:
-            raise RefinementLimit(f"no upper half-annulus held the {pairs} complex pairs")
-        stack = [(x0, x1, t_b, _HALF_PI, pairs, 0)]
-        while stack:
-            x0, x1, y0, y1, n, splits = stack.pop()
-            if n == 1:
-                s = _newton_in_cell(p, x0, x1, y0, y1)
-                if s is not None:
-                    found += (s, s.conjugate())
-                    continue
-            if splits == _MAX_SPLITS:
-                raise RefinementLimit(f"{n} roots not separated after {_MAX_SPLITS} cell splits")
-            xm, ym = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-            if x1 - x0 >= y1 - y0:
-                halves = ((x0, xm, y0, y1), (xm, x1, y0, y1))
-            else:
-                halves = ((x0, x1, y0, ym), (x0, x1, ym, y1))
-            k = _winding(p, *halves[0])[0]
-            if k > n:
-                raise RefinementLimit(f"a half cell counts {k} of its parent's {n} roots")
-            stack += [(*cell, m, splits + 1) for cell, m in zip(halves, (k, n - k)) if m]
+    if expected == 2 and not real:
+        s = _continue_pair(p)
+        found += (s, s.conjugate())
+    elif expected != len(real):
+        raise RefinementLimit(f"{len(real)} positive real roots do not fit a count of {expected}")
     return sorted(found, key=lambda s: (s.real, s.imag))
 
 

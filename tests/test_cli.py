@@ -203,6 +203,15 @@ def test_curve_csv_commensurate_line(tmp_path, capsys):
     for ln in out_path.read_text().strip().splitlines()[1:]:
         _, a11, a22 = (float(v) for v in ln.split(","))
         assert a11 + a22 == pytest.approx(line, abs=1e-12)
+    # at q1 = q2 = 1 the line is a11 + a22 = 0 in every row, exactly
+    code, _, _ = run_cli(capsys, "curve", "--delta", 4, "--q1", 1, "--q2", 1,
+                      "--omega-min", -2, "--omega-max", 2, "--n", 101, "--out", out_path)
+    assert code == 0
+    rows = out_path.read_text().strip().splitlines()[1:]
+    assert len(rows) == 101
+    for ln in rows:
+        _, a11, a22 = (float(v) for v in ln.split(","))
+        assert a11 + a22 == 0.0
 
 
 def test_curve_csv_reference_interpolation(tmp_path, capsys):

@@ -105,6 +105,11 @@ def test_curve_point_commensurate_line():
     for w in np.linspace(-2.0, 2.0, 17):
         pt = curve_point(cp, w)
         assert pt.a11 + pt.a22 == pytest.approx(line, abs=1e-12)
+    # at q1 = q2 = 1 the line is a11 + a22 = 0, exactly: cos(pi/2) is not
+    # formed through fl(pi/2)
+    for w in np.linspace(-2.0, 2.0, 17):
+        pt = curve_point(CurveParams(4.0, 1.0, 1.0), w)
+        assert pt.a11 + pt.a22 == 0.0
 
 
 def test_curve_point_symmetric_incommensurate():

@@ -22,8 +22,10 @@ from fracstab import (
     curve_point,
     delta_eval,
     matignon_stable,
+    phi,
     polish_unstable_roots,
     positive_real_roots,
+    roots as roots_module,
     unstable_root_bounds,
 )
 
@@ -346,34 +348,109 @@ def test_polish_containment_random():
     assert nroots >= 40
 
 
+def _companion_roots(s: SystemSpec, n: int) -> tuple[list, float]:
+    # for q = (k1/n, k2/n) the unstable roots are lambda^n for the companion
+    # eigenvalues lambda with |arg lambda| < pi/(2n); also returns the least
+    # angle between an eigenvalue and that sector's edge
+    lam = np.linalg.eigvals(commensurate_reduce(s, (n, n)).matrix)
+    gap = np.abs(np.abs(np.angle(lam)) - math.pi / (2 * n))
+    return list(lam[np.abs(np.angle(lam)) < math.pi / (2 * n)] ** n), float(gap.min())
+
+
+def _draw_rational(rng) -> tuple[float, float, float, int, int, int]:
+    n = int(rng.integers(1, 9))
+    k1, k2 = (int(k) for k in rng.integers(1, n + 1, size=2))
+    delta = rng.uniform(0.2, 6.0)
+    a11, a22 = rng.uniform(-4.0, 4.0, size=2)
+    return a11, a22, delta, k1, k2, n
+
+
+def _assert_same_roots(got: list, want: list) -> None:
+    assert len(got) == len(want)
+    for r in got:
+        j = int(np.argmin([abs(r - w) for w in want]))
+        assert abs(r - want.pop(j)) <= 1e-6 * abs(r)
+
+
 def test_polish_matches_companion_eigenvalues():
-    # independent oracle: for q = (k1/n, k2/n) the unstable roots are lambda^n
-    # for the companion eigenvalues lambda with |arg lambda| < pi/(2n)
+    # independent oracle: the companion eigenvalues, on rational orders
     rng = np.random.default_rng(29)
     nsys = nroots = 0
     while nsys < 40:
-        n = int(rng.integers(1, 9))
-        k1, k2 = (int(k) for k in rng.integers(1, n + 1, size=2))
-        delta = rng.uniform(0.2, 6.0)
-        a11, a22 = rng.uniform(-4.0, 4.0, size=2)
+        a11, a22, delta, k1, k2, n = _draw_rational(rng)
         s = SystemSpec(a11, 1.0, a11 * a22 - delta, a22, k1 / n, k2 / n)
-        lam = np.linalg.eigvals(commensurate_reduce(s, (n, n)).matrix)
-        gap = np.abs(np.abs(np.angle(lam)) - math.pi / (2 * n))
-        if gap.min() < 1e-6:
+        want, gap = _companion_roots(s, n)
+        if gap < 1e-6:
             continue  # a root on the imaginary axis is not counted
         nsys += 1
-        want = list(lam[np.abs(np.angle(lam)) < math.pi / (2 * n)] ** n)
         got = polish_unstable_roots(s.char_params())
-        assert len(got) == len(want)
-        for r in got:
-            j = int(np.argmin([abs(r - w) for w in want]))
-            assert abs(r - want.pop(j)) <= 1e-6 * abs(r)
+        _assert_same_roots(got, want)
         nroots += len(got)
     assert nroots >= 20
+    # just above Gamma, a22 = phi(a11) + eps*(1 + |phi|), the pair lies
+    # within about eps of the imaginary axis
+    for eps in (1e-4, 1e-7):
+        rng = np.random.default_rng(31)
+        npair = 0
+        while npair < 20:
+            a11, _, delta, k1, k2, n = _draw_rational(rng)
+            on_curve = phi(CurveParams(delta, k1 / n, k2 / n), a11)
+            a22 = on_curve + eps * (1.0 + abs(on_curve))
+            s = SystemSpec(a11, 1.0, a11 * a22 - delta, a22, k1 / n, k2 / n)
+            want, gap = _companion_roots(s, n)
+            try:
+                count = count_unstable_roots(s.char_params()).n_unstable
+            except (ContourThroughRoot, RefinementLimit):
+                continue
+            if gap < 1e-12:
+                continue  # the sector test cannot tell the side
+            got = polish_unstable_roots(s.char_params(), count)
+            _assert_same_roots(got, want)
+            npair += any(r.imag for r in got)
+
+
+@pytest.mark.parametrize(
+    "d_phi, d_w", [(1e-3, 0.0), (0.0, 0.5), (0.0, -1.0)], ids=["phi", "w_star", "w_star_far"]
+)
+def test_polish_does_not_trust_the_curve(monkeypatch, d_phi, d_w):
+    # a start off Gamma, from a crossing solver that is wrong on purpose, may
+    # cost the locator its root (RefinementLimit) but must never make it
+    # return another one: the residual, the quadrant and the count certify
+    # what it returns, the curve only where it starts. From the farthest
+    # start, Newton outside 0 < Im w <= pi/2 finds roots on other sheets
+    crossing = roots_module._crossing
+
+    def off_curve(cp, a11):
+        w, val, terms = crossing(cp, a11)
+        return w + d_w, val + d_phi * (1.0 + abs(val)), terms
+
+    monkeypatch.setattr(roots_module, "_crossing", off_curve)
+    rng = np.random.default_rng(29)
+    npair = located = 0
+    while npair < 80:
+        a11, a22, delta, k1, k2, n = _draw_rational(rng)
+        s = SystemSpec(a11, 1.0, a11 * a22 - delta, a22, k1 / n, k2 / n)
+        want, gap = _companion_roots(s, n)
+        if gap < 1e-6 or not any(r.imag for r in want):
+            continue
+        npair += 1
+        try:
+            got = polish_unstable_roots(s.char_params())
+        except RefinementLimit:
+            continue
+        _assert_same_roots(got, want)
+        located += 1
+    assert located > 0
 
 
 def test_polish_rejects_wrong_count():
-    for p in (REF_P_UNSTABLE, CharParams(0.3, 0.3, 1.0, 1.0, 1.0), CharParams(2.0, 1.0, 3.0, 0.3, 0.7)):
+    # the last system's real roots 1.3098 and 52.03 are both of its count; a
+    # count of 4 must not pass a point 1e-13 above 1.3098 off as a pair
+    close = CharParams(
+        14.283758392789025, -14.034385290441369, 0.0002533337808550725, 0.557225375281134, 0.8065024657089899
+    )
+    others = (CharParams(0.3, 0.3, 1.0, 1.0, 1.0), CharParams(2.0, 1.0, 3.0, 0.3, 0.7))
+    for p in (REF_P_UNSTABLE, *others, close):
         n = count_unstable_roots(p).n_unstable
         assert len(polish_unstable_roots(p, n)) == n
         with pytest.raises(RefinementLimit):
