@@ -407,9 +407,6 @@ def main(argv=None) -> int:
     except StepCap as exc:
         _err(f"usage error: {exc}")
         return EXIT_USAGE
-    except NotDecaying as exc:
-        _err(f"not decaying: {exc}")
-        return EXIT_UNSTABLE
     except ValueError as exc:
         _err(f"usage error: {exc}")
         return EXIT_USAGE

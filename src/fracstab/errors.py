@@ -66,8 +66,8 @@ class RefinementLimit(FracstabError):
 
     polish_unstable_roots raises it when its count is neither the number of
     positive real roots nor 2 with no positive real root, when a22 does not
-    lie above phi(a11), when the continuation from Gamma stalls (a step below
-    1e-14*(|a22| + |phi|), as at a double root where the pair meets the real
+    lie above phi(a11), when the continuation from Gamma stalls (a step too
+    small to move a22, as at a double root where the pair meets the real
     axis) or when it ends outside Re s >= 0, Im s > 0; a wrong expected count
     ends here.
     """

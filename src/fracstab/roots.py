@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chareq import CharParams, SystemSpec, delta_eval, delta_rounding_bound
+from .chareq import _EPS, _RHO_ULPS, CharParams, SystemSpec, delta_eval, delta_rounding_bound
 from .curve import CurveParams, _crossing
 from .errors import (
     AnnulusOutOfRange,
@@ -105,13 +105,12 @@ def unstable_root_bounds(p: CharParams) -> RootBounds:
     with f(u) = (-u + sqrt(u^2+4*gamma))/(2*gamma) and F(u) = u + sqrt(gamma).
     gamma is the paper's (q_conj+1)/(q_conj-1), q_conj = (q1+q2)/|q1-q2|,
     written so that it stays finite, 1, at q1 = q2 (the Hoelder limit with
-    exponents 1 and infinity). f is evaluated as 2/(u + sqrt(u^2+4*gamma)) to
-    avoid cancellation, and as 1/u once u is large enough that the gamma
-    correction is below double precision.
-
-    The bounds are taken as log l and log L, since u and the powers overflow
-    long before the bounds do; AnnulusOutOfRange is raised when l or L falls
-    outside [1e-300, 1e300].
+    exponents 1 and infinity), and f is written as 2/(u + sqrt(u^2+4*gamma))
+    to avoid cancellation. u and the powers overflow long before the bounds
+    do, so log l and log L are formed from logs by logaddexp and moved
+    outward by a running bound on their rounding: _RHO_ULPS eps of the logs
+    they add, per unit of alpha, as in delta_rounding_bound. AnnulusOutOfRange
+    is raised when l or L falls outside [1e-300, 1e300].
     """
     if not p.delta > 0.0:
         raise DeltaNotPositive(f"root bounds require delta > 0, got {p.delta!r}")
@@ -121,29 +120,28 @@ def unstable_root_bounds(p: CharParams) -> RootBounds:
     p_exp = alpha / m
     gamma = max(p.q1, p.q2) / m
     log_d = max(-p.q1 * log_delta, -p.q2 * log_delta) / (2.0 * m)
-    # log u, with |a11|^p_exp + |a22|^p_exp taken by its larger term
-    lo, hi = sorted((abs(p.a11), abs(p.a22)))
-    log_u = -math.inf
-    if hi > 0.0:
-        log_u = log_d + p_exp * math.log(hi) + math.log1p((lo / hi) ** p_exp)
-    if log_u > math.log(1e8):
-        log_f = -log_u
-        log_F = log_u + math.log1p(math.sqrt(gamma) * math.exp(-log_u))
-    else:
-        u = math.exp(log_u)
-        log_f = math.log(2.0 / (u + math.sqrt(u * u + 4.0 * gamma)))
-        log_F = math.log(u + math.sqrt(gamma))
-    l, L = _annulus((0.5 * log_delta + log_f) / alpha, (0.5 * log_delta + log_F) / alpha)
-    d_const = math.exp(log_d) if log_d < _LOG_DBL_MAX else math.inf
-    return RootBounds(l=l, L=L, p=p_exp, gamma_const=gamma, d_const=d_const)
-
-
-def _annulus(log_l: float, log_L: float) -> tuple[float, float]:
+    log_a = [p_exp * math.log(abs(c)) if c else -math.inf for c in (p.a11, p.a22)]
+    log_u = log_d + _logaddexp(*log_a)
+    log_F = _logaddexp(log_u, 0.5 * math.log(gamma))
+    log_f = math.log(2.0) - _logaddexp(log_u, 0.5 * _logaddexp(2.0 * log_u, math.log(4.0 * gamma)))
+    magnitude = 0.5 * abs(log_delta) + abs(log_d) + 0.5 * math.log(gamma) + 1.0
+    magnitude += max((abs(v) for v in log_a if v > -math.inf), default=0.0)
+    pad = _RHO_ULPS * _EPS * magnitude / alpha
+    log_l = (0.5 * log_delta + log_f) / alpha - pad
+    log_L = (0.5 * log_delta + log_F) / alpha + pad
     if not (_LOG_ANNULUS_MIN <= log_l and log_L <= _LOG_ANNULUS_MAX):
         raise AnnulusOutOfRange(
             f"root annulus [exp({log_l:.6g}), exp({log_L:.6g})] leaves [1e-300, 1e300]"
         )
-    return math.exp(log_l), math.exp(log_L)
+    d_const = math.exp(log_d) if log_d < _LOG_DBL_MAX else math.inf
+    return RootBounds(math.exp(log_l), math.exp(log_L), p_exp, gamma, d_const)
+
+
+def _logaddexp(x: float, y: float) -> float:
+    # log(e^x + e^y) without overflow; -inf stands for a zero term
+    if x < y:
+        x, y = y, x
+    return x if x == -math.inf else x + math.log1p(math.exp(y - x))
 
 
 def _exp_w(x: float, y: float) -> complex:
@@ -254,21 +252,21 @@ def count_unstable_roots(p: CharParams) -> RootCountReport:
     return RootCountReport(n, b, evals, turns, deepest)
 
 
-def _sign_change_zeros(f: Callable[[float], float], xs: list[float]) -> list[float]:
-    # the zero of f in each [xs[i], xs[i+1]] whose ends differ in sign,
-    # bisected to width 1e-12; f must be monotone on each piece
+def _sign_change_zeros(f: Callable[[float], float], ts: list[float]) -> list[float]:
+    # the zero of f in each [ts[i], ts[i+1]] (ts > 0) whose ends differ in sign,
+    # bisected to adjacent doubles, at the geometric mean while the ends lie a
+    # factor 2 apart; f must be monotone on each piece
     zeros = []
-    pos = [f(x) > 0.0 for x in xs]
-    for lo, hi, pos_lo, pos_hi in zip(xs, xs[1:], pos, pos[1:]):
+    pos = [f(t) > 0.0 for t in ts]
+    for lo, hi, pos_lo, pos_hi in zip(ts, ts[1:], pos, pos[1:]):
         if pos_lo == pos_hi:
             continue
-        while hi - lo > 1e-12:
-            mid = 0.5 * (lo + hi)
+        while lo < (mid := 0.5 * (lo + hi) if hi <= 2 * lo else math.sqrt(lo) * math.sqrt(hi)) < hi:
             if (f(mid) > 0.0) == pos_lo:
                 lo = mid
             else:
                 hi = mid
-        zeros.append(0.5 * (lo + hi))
+        zeros.append(mid)
     return zeros
 
 
@@ -281,29 +279,29 @@ def positive_real_roots(p: CharParams) -> list[float]:
     the sign of Delta'. k' has one zero at most, where
     e^(ax) = -(b-a)*c_b/(a+b) (only for c_b < 0 and a < b), so k has two
     zeros at most and Delta is monotone on the at most three pieces between
-    them. The zeros of k, then the sign changes of Delta, are bisected in
-    x = log t over the count's annulus to width 1e-12, i.e. 1e-12 relative
-    width in t; no sampling is involved. DeltaNotPositive for delta <= 0.
+    them. The zeros of k, then the sign changes of Delta, are bisected over
+    the count's annulus to adjacent doubles t, with k and Delta taken from
+    powers of t itself; no sampling. DeltaNotPositive for delta <= 0.
     """
     if not p.delta > 0.0:
         raise DeltaNotPositive(f"positive real roots require delta > 0, got {p.delta!r}")
     x0, x1 = _log_annulus(p, unstable_root_bounds(p))
     (a, c_a), (b, c_b) = sorted(((p.q1, -p.a22), (p.q2, -p.a11)))
 
-    def delta(x: float) -> float:
-        ea, eb = math.exp(a * x), math.exp(b * x)
-        return ea * eb + c_b * eb + c_a * ea + p.delta
+    def delta(t: float) -> float:
+        ta, tb = t**a, t**b
+        return ta * tb + c_b * tb + c_a * ta + p.delta
 
-    def k(x: float) -> float:
-        return (a + b) * math.exp(b * x) + b * c_b * math.exp((b - a) * x) + a * c_a
+    def k(t: float) -> float:
+        return (a + b) * t**b + b * c_b * t ** (b - a) + a * c_a
 
-    k_pieces = [x0, x1]
+    k_pieces = [math.exp(x0), math.exp(x1)]
     if c_b < 0.0 and a < b:
         x_crit = (math.log(-c_b) + math.log((b - a) / (a + b))) / a
         if x0 < x_crit < x1:
-            k_pieces.insert(1, x_crit)
-    pieces = [x0, *_sign_change_zeros(k, k_pieces), x1]
-    return [math.exp(x) for x in _sign_change_zeros(delta, pieces)]
+            k_pieces.insert(1, math.exp(x_crit))
+    pieces = [k_pieces[0], *_sign_change_zeros(k, k_pieces), k_pieces[-1]]
+    return _sign_change_zeros(delta, pieces)
 
 
 def _delta_w(p: CharParams, w: complex) -> tuple[complex, complex]:
@@ -342,7 +340,7 @@ def _continue_pair(p: CharParams) -> complex:
     w = complex(w_star + math.log(p.delta) / (p.q1 + p.q2), _HALF_PI)
     t, at, step = phi0, CharParams(p.a11, phi0, p.delta, p.q1, p.q2), p.a22 - phi0
     while t < p.a22:
-        if step < 1e-14 * (abs(p.a22) + abs(phi0)):
+        if t + step == t:
             raise RefinementLimit(f"continuation stalled at a22 = {t:.17g} on the way to {p.a22:.17g}")
         t_next = min(t + step, p.a22)
         nxt = p if t_next == p.a22 else CharParams(p.a11, t_next, p.delta, p.q1, p.q2)

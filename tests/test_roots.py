@@ -310,6 +310,67 @@ def test_positive_real_roots_reference_values():
         assert abs(delta_eval(REF_P_UNSTABLE, got)) <= 1e-10
 
 
+def _exact_positive_real_roots(n, k1, k2, p):
+    # the positive real roots s = z^n of Delta at 40 digits: with q1 = k1/n
+    # and q2 = k2/n, Delta is z^(k1+k2) - a11 z^k2 - a22 z^k1 + delta in
+    # z = s^(1/n), whose coefficients run from z^(k1+k2) down, so z^k2's sits
+    # at index k1; its positive real companion eigenvalues are refined by mpmath
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        coeffs = [mp.mpf(0)] * (k1 + k2 + 1)
+        coeffs[0] += 1
+        coeffs[k1] -= p.a11
+        coeffs[k2] -= p.a22
+        coeffs[-1] += p.delta
+        zs = np.roots([float(c) for c in coeffs])
+        return sorted(
+            mp.findroot(lambda z: mp.polyval(coeffs, z), mp.mpf(z.real)) ** n
+            for z in zs if z.real > 0.0 and abs(z.imag) <= 1e-6 * abs(z)
+        )
+
+
+def _assert_tight_roots_in_bounds(n, k1, k2, p, rel):
+    # every 40-digit positive real root and every located one lies in
+    # [l, L], and each located root matches its 40-digit root to rel
+    b = unstable_root_bounds(p)
+    exact = _exact_positive_real_roots(n, k1, k2, p)
+    located = positive_real_roots(p)
+    assert len(located) == len(exact), (p, located, exact)
+    for r, e in zip(located, exact):
+        assert b.l <= e <= b.L and b.l <= r <= b.L, (p, b, r, e)
+        assert abs(r - e) <= rel * e, (p, r, e)
+    return len(exact)
+
+
+# systems whose smallest root attains l to rounding: q2 = 1/n and a small
+# a22, so a11 s^q2 ~ delta nearly fixes the root; the first is the
+# crosscheck workload's seed-2249 system
+@pytest.mark.parametrize("n, k1, k2, p", [
+    (17, 16, 1, SystemSpec(3.6709120869636536, 1.0, -0.49966399453722665,
+                           -0.04155485890805721, 16 / 17, 1 / 17).char_params()),
+    (20, 19, 1, CharParams(2.1431029914124506, 0.0005050689758849523, 0.010013587656161808,
+                           19 / 20, 1 / 20)),
+    (16, 15, 1, CharParams(4.503865708306627, 0.014503386163825434, 0.3869110031101625,
+                           15 / 16, 1 / 16)),
+])
+def test_tight_bounds_contain_roots(n, k1, k2, p):
+    assert _assert_tight_roots_in_bounds(n, k1, k2, p, rel=1e-14) == 2
+
+
+def test_tight_bounds_contain_roots_random():
+    # the family of the systems above: a11 ~ U(0.5, 5), a22 = +-10^U(-4, 0),
+    # q1 = k1/n with n - 3 <= k1 <= n, q2 in {1/n, 2/n}, delta ~ U(0.01, 10)
+    rng = np.random.default_rng(23)
+    rooted = 0
+    for _ in range(400):
+        n = int(rng.integers(2, 21))
+        k1, k2 = int(rng.integers(max(1, n - 3), n + 1)), int(rng.integers(1, 3))
+        a11, a22 = rng.uniform(0.5, 5.0), float(rng.choice([-1.0, 1.0])) * 10.0 ** rng.uniform(-4.0, 0.0)
+        p = CharParams(a11, a22, rng.uniform(0.01, 10.0), k1 / n, k2 / n)
+        rooted += _assert_tight_roots_in_bounds(n, k1, k2, p, rel=1e-13) > 0
+    assert rooted >= 50
+
+
 def test_polish_reference_roots():
     roots = polish_unstable_roots(REF_P_UNSTABLE, expected=2)
     assert len(roots) == 2
