@@ -35,6 +35,7 @@ _EPS = sys.float_info.epsilon
 # rho's multiple of eps; against 50 digits (tests/test_chareq.py) the error of
 # delta_eval stays below 1.3*eps*(1 + (q1+q2)*|log s|)*M(|s|)
 _RHO_ULPS = 8.0
+_HALF_PI = 0.5 * math.pi
 
 
 def _check_order(name: str, q: float) -> None:
@@ -94,16 +95,43 @@ class CharParams:
         _check_order("q2", self.q2)
 
 
+def _delta_on_axis(y: float, a11: float, a22: float, delta: float, q1: float, q2: float) -> complex:
+    """Delta(i*y) for y != 0, each power (i*y)^q as |y|^q*(cos(q*pi/2) + i*sign(y)*sin(q*pi/2)).
+
+    cos(q*pi/2) is sin((1-q)*pi/2), and sin(q*pi/2) for q = q1+q2 > 1 is
+    sin((2-q)*pi/2); both differences are exact for q in [1/2, 2], so i^1 = i
+    and i^2 = -1 exactly, not through fl(pi/2). With zero coefficients and
+    q2 = 0 it is the power (i*y)^q1, for q1 in (0, 2].
+    """
+    q, r = q1 + q2, abs(y)
+    rq, r2, r1 = r**q, r**q2, r**q1
+    re = (
+        rq * math.sin((1.0 - q) * _HALF_PI)
+        - a11 * (r2 * math.sin((1.0 - q2) * _HALF_PI))
+        - a22 * (r1 * math.sin((1.0 - q1) * _HALF_PI))
+        + delta
+    )
+    im = (
+        rq * math.sin((2.0 - q if q > 1.0 else q) * _HALF_PI)
+        - a11 * (r2 * math.sin(q2 * _HALF_PI))
+        - a22 * (r1 * math.sin(q1 * _HALF_PI))
+    )
+    return complex(re, im if y > 0.0 else -im)
+
+
 def principal_power(s: complex, q: float) -> complex:
     """s**q on the principal branch, exp(q*(ln|s| + i*Arg s)), Arg s in (-pi, pi].
 
     A negative real s with a -0.0 imaginary component would otherwise fall on
     the Arg = -pi side; the imaginary part is normalized so the branch cut
-    itself always evaluates with Arg = pi. principal_power(0, q) = 0 for q > 0.
+    itself always evaluates with Arg = pi. On the imaginary axis s^q is taken
+    from _delta_on_axis. principal_power(0, q) = 0 for q > 0.
     """
     s = complex(s)
     if s == 0:
         return 0j
+    if s.real == 0.0:
+        return _delta_on_axis(s.imag, 0.0, 0.0, 0.0, q, 0.0)
     if s.imag == 0.0:
         # collapse -0.0 so Arg(negative real) is +pi, not -pi
         s = complex(s.real, 0.0)
@@ -113,13 +141,16 @@ def principal_power(s: complex, q: float) -> complex:
 def delta_eval(p: CharParams, s: complex) -> complex:
     """Delta(s) = s^(q1+q2) - a11*s^q2 - a22*s^q1 + delta on the principal branch.
 
-    Each power is exp(q*log s), as in principal_power, from one shared log s.
-    delta_eval(p, 0) returns delta by convention (the limit value), which makes
-    the sign test Delta(0) = delta directly executable.
+    Each power is exp(q*log s), as in principal_power, from one shared log s;
+    on the imaginary axis both take _delta_on_axis's exact angles.
+    delta_eval(p, 0) returns delta by convention (the limit value), which
+    makes the sign test Delta(0) = delta directly executable.
     """
     s = complex(s)
     if s == 0:
         return complex(p.delta)
+    if s.real == 0.0:
+        return _delta_on_axis(s.imag, p.a11, p.a22, p.delta, p.q1, p.q2)
     if s.imag == 0.0:
         s = complex(s.real, 0.0)
     log_s = cmath.log(s)

@@ -23,7 +23,9 @@ A margin inside the tie band 1e-12*(|a22| + T_phi) is marginal, with T_phi
 the sum of the moduli of phi's terms (curve.phi_terms). The band is relative
 to the magnitudes the margin is computed from, so a time scaling
 (a11, a22, delta) -> (a11*c^q1, a22*c^q2, delta*c^(q1+q2)), which moves
-every root along its ray, changes no verdict.
+every root along its ray, changes no verdict. One rule (_side_of_gamma)
+compares margin and band for classify and the rasters alike, and one table
+(_CODES) gives each verdict kind its raster code.
 """
 
 from __future__ import annotations
@@ -74,8 +76,20 @@ class Reason(str, Enum):
 # the tie band's multiple of the magnitudes of a22 and phi's terms
 _KAPPA = 1e-12
 
-_STABLE_KINDS = frozenset({VerdictKind.StableAllOrders, VerdictKind.StableForOrders})
-_UNSTABLE_KINDS = frozenset({VerdictKind.UnstableAllOrders, VerdictKind.UnstableForOrders})
+# the raster code of each verdict kind: 1 stable, 0 unstable, 2 marginal
+_CODES = {
+    VerdictKind.UnstableAllOrders: 0,
+    VerdictKind.StableAllOrders: 1,
+    VerdictKind.StableForOrders: 1,
+    VerdictKind.UnstableForOrders: 0,
+    VerdictKind.MarginalOnCurve: 2,
+}
+# the order-dependent verdict of each code of _side_of_gamma
+_SIDES = {
+    1: (VerdictKind.StableForOrders, Reason.BelowGamma),
+    0: (VerdictKind.UnstableForOrders, Reason.AboveGamma),
+    2: (VerdictKind.MarginalOnCurve, Reason.OnGamma),
+}
 
 
 @dataclass(frozen=True)
@@ -98,11 +112,11 @@ class Verdict:
 
     @property
     def is_stable(self) -> bool:
-        return self.kind in _STABLE_KINDS
+        return _CODES[self.kind] == 1
 
     @property
     def is_unstable(self) -> bool:
-        return self.kind in _UNSTABLE_KINDS
+        return _CODES[self.kind] == 0
 
 
 @dataclass(frozen=True)
@@ -122,6 +136,19 @@ def tie_tolerance(a22, phi_value, phi_terms):
     """
     band = _KAPPA * (np.abs(a22) + phi_terms)
     return np.where(np.isinf(phi_value), 0.0, band)
+
+
+def _side_of_gamma(a22, phi_value, phi_terms):
+    """(code, margin, band) of a22 against phi: the order-dependent decision.
+
+    margin = a22 - phi and band = tie_tolerance; code is 1 below the band
+    (margin < -band), 0 above it (margin > band) and 2 inside it, |margin| =
+    band and a NaN margin included. Takes floats or arrays; code is int8.
+    """
+    margin = a22 - phi_value
+    band = tie_tolerance(a22, phi_value, phi_terms)
+    code = np.int8(2) - (margin < -band) - np.int8(2) * (margin > band)
+    return code, margin, band
 
 
 def region_membership(a11: float, a22: float, delta: float) -> RegionMembership:
@@ -165,37 +192,19 @@ def _classify_params(
 ) -> Verdict:
     oi = classify_order_independent(a11, a22, delta)
     if oi is not None:
-        if oi.kind is VerdictKind.StableAllOrders:
-            return Verdict(oi.kind, oi.reason, decay_exponent=min(q1, q2))
-        return oi
-    if delta == 0.0:
+        kind, reason, margin, phi_val, band = oi.kind, oi.reason, 0.0, None, 0.0
+    elif delta == 0.0:
         raise DeltaZeroUnclassified(
             "delta = 0 and no order-independent rule applies; "
             "the region tests assume det(A) != 0"
         )
-    phi_val, terms = phi_terms(CurveParams(delta, q1, q2), a11)
-    margin = a22 - phi_val
-    tol = float(tie_tolerance(a22, phi_val, terms))
-    if margin < -tol:
-        return Verdict(
-            VerdictKind.StableForOrders,
-            Reason.BelowGamma,
-            margin=margin,
-            decay_exponent=min(q1, q2),
-            phi_value=phi_val,
-            tie_band=tol,
-        )
-    if margin > tol:
-        return Verdict(
-            VerdictKind.UnstableForOrders,
-            Reason.AboveGamma,
-            margin=margin,
-            phi_value=phi_val,
-            tie_band=tol,
-        )
-    return Verdict(
-        VerdictKind.MarginalOnCurve, Reason.OnGamma, margin=margin, phi_value=phi_val, tie_band=tol
-    )
+    else:
+        phi_val, terms = phi_terms(CurveParams(delta, q1, q2), a11)
+        code, margin, band = _side_of_gamma(a22, phi_val, terms)
+        kind, reason = _SIDES[int(code)]
+        band = float(band)
+    decay = min(q1, q2) if _CODES[kind] == 1 else None
+    return Verdict(kind, reason, margin, decay, phi_val, band)
 
 
 def classify(s: SystemSpec) -> Verdict:
@@ -222,8 +231,8 @@ def qscan_verdicts(a11: float, a22: float, delta: float, grid_n: int) -> np.ndar
     Cell [j-1, k-1] holds the verdict of classify at q1 = j/grid_n,
     q2 = k/grid_n. The order-independent rules run once, since their verdict
     holds for every cell; when they are silent, phi_orders finds phi and
-    T_phi in every cell at once and each margin is compared with the cell's
-    tie_tolerance.
+    T_phi in every cell at once and _side_of_gamma, the rule classify
+    applies, decides every cell.
     """
     if not delta > 0.0:
         raise DeltaNotPositive(f"qscan requires delta > 0, got {delta!r}")
@@ -231,15 +240,9 @@ def qscan_verdicts(a11: float, a22: float, delta: float, grid_n: int) -> np.ndar
         raise ValueError(f"grid_n must be >= 2, got {grid_n!r}")
     oi = classify_order_independent(a11, a22, delta)
     if oi is not None:
-        return np.full((grid_n, grid_n), int(oi.is_stable), dtype=np.int8)
+        return np.full((grid_n, grid_n), _CODES[oi.kind], dtype=np.int8)
     q = np.arange(1, grid_n + 1) / grid_n
-    phi_val, terms = phi_orders(delta, a11, q[:, None], q[None, :])
-    margin = a22 - phi_val
-    tol = tie_tolerance(a22, phi_val, terms)
-    out = np.full((grid_n, grid_n), 2, dtype=np.int8)
-    out[margin < -tol] = 1
-    out[margin > tol] = 0
-    return out
+    return _side_of_gamma(a22, *phi_orders(delta, a11, q[:, None], q[None, :]))[0]
 
 
 def a2_inequality_check(x: float, y: float, alpha: float) -> bool:

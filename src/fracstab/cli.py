@@ -47,7 +47,7 @@ import numpy as np
 from . import __version__
 from ._g17 import format_rows
 from .chareq import CharParams, SystemSpec
-from .classify import VerdictKind, classify, qscan_verdicts
+from .classify import _CODES, classify, qscan_verdicts
 from .curve import CurveParams, sample_curve
 from .errors import (
     AnnulusOutOfRange,
@@ -76,12 +76,9 @@ EXIT_INTERNAL = 70
 # rows per write of a float CSV; format_rows holds about 1 MB per chunk
 _CSV_CHUNK = 1024
 
+# each verdict kind exits by its raster code: 0 unstable, 1 stable, 2 marginal
 VERDICT_EXIT_CODES = {
-    VerdictKind.StableAllOrders: EXIT_STABLE,
-    VerdictKind.StableForOrders: EXIT_STABLE,
-    VerdictKind.UnstableAllOrders: EXIT_UNSTABLE,
-    VerdictKind.UnstableForOrders: EXIT_UNSTABLE,
-    VerdictKind.MarginalOnCurve: EXIT_MARGINAL,
+    kind: (EXIT_UNSTABLE, EXIT_STABLE, EXIT_MARGINAL)[code] for kind, code in _CODES.items()
 }
 
 
@@ -335,8 +332,6 @@ def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="mirror the record as single-line JSON")
-    common.add_argument("--seed", type=int, default=None,
-                        help="recorded in manifests; reserved for randomized subcommands")
 
     parser = _Parser(prog="fracstab",
                      description="Stability engine for 2D multi-order fractional systems")

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketFailure, CommensurateOrders
-from .chareq import _check_order
+from .chareq import _HALF_PI, _check_order
 
 __all__ = [
     "EPS_COMM",
@@ -50,7 +50,6 @@ __all__ = [
 # the order gap below which rho, h_func and curve_point sample the equal-order line
 EPS_COMM = 1e-8
 
-_HALF_PI = 0.5 * math.pi
 # Newton for omega* (_omega_star): stop on a step below _STEP_REL*max(1, |u|)
 # or a residual within _FLOOR_ULPS of the magnitudes it is computed from; fail
 # past _NEWTON_MAX steps or a final residual above _RESID_REL.

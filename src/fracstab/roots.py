@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chareq import _EPS, _RHO_ULPS, CharParams, SystemSpec, delta_eval, delta_rounding_bound
+from .chareq import _EPS, _HALF_PI, _RHO_ULPS, CharParams, SystemSpec, delta_eval, delta_rounding_bound
 from .curve import CurveParams, _crossing
 from .errors import (
     AnnulusOutOfRange,
@@ -51,7 +51,6 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
-_HALF_PI = 0.5 * math.pi
 _MAX_DEPTH = 24  # bisections of one contour step
 # the locator's Newton accepts |Delta| within this many rounding bounds, in at
 # most _NEWTON_MAX steps

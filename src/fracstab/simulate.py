@@ -70,11 +70,6 @@ _BLOCK = 256
 # states beyond this magnitude terminate the run with the overflow flag
 _OVERFLOW_LIMIT = 1e300
 
-_METHOD_NOTE = (
-    "implicit fractional product-trapezoidal rule (Adams-Moulton corrector "
-    "solved exactly), per-component orders, full memory"
-)
-
 
 @dataclass(eq=False)
 class Trajectory:
@@ -87,7 +82,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray
     step: float
-    method_order_note: str
     overflowed: bool = False
 
     def norms(self) -> np.ndarray:
@@ -196,7 +190,6 @@ def integrate(
         times=h * np.arange(last + 1, dtype=float),
         states=x[: last + 1],
         step=h,
-        method_order_note=_METHOD_NOTE,
         overflowed=last < n_steps,
     )
 

@@ -96,6 +96,17 @@ def test_principal_power_on_negative_axis():
     assert principal_power(0.0 + 0.0j, 0.7) == 0.0
 
 
+def test_imaginary_axis_powers_exact():
+    # on Re s = 0 the angles come from 1 - q and 2 - q, not fl(pi/2): i^1 = i
+    # and i^2 = -1 exactly, and at q1 = q2 = 1, Delta(i) = delta - 1 - i*a22
+    # keeps the sign of a22 = 1e-16 (through fl(pi/2) it read +2.2e-17i)
+    assert principal_power(1j, 1.0) == 1j
+    assert principal_power(-1j, 2.0) == -1.0
+    assert principal_power(-4j, 0.5) == pytest.approx(math.sqrt(2.0) * (1 - 1j), rel=1e-15)
+    got = delta_eval(CharParams(0.0, 1e-16, 1.0, 1.0, 1.0), 1j)
+    assert got == -1e-16j and got.imag < 0.0
+
+
 def test_conjugate_symmetry_examples():
     rng = np.random.default_rng(2)
     p = CharParams(0.4, -1.3, 2.2, 0.35, 0.85)

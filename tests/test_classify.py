@@ -1,5 +1,6 @@
 """Tests for region membership and the stability decision procedures."""
 
+import importlib
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from fracstab import (
     DomainError,
     Reason,
     SystemSpec,
+    Verdict,
     VerdictKind,
     a2_inequality_check,
     classify,
@@ -26,7 +28,7 @@ from fracstab import (
     tie_tolerance,
 )
 from fracstab import curve
-from fracstab.classify import _classify_params
+from fracstab.classify import _CODES, _classify_params
 from fracstab.curve import phi_orders
 
 REF_A = dict(a11=0.00001, a12=1.0, a21=-0.0022, a22=0.1)
@@ -191,6 +193,51 @@ def test_qscan_verdicts_marginal_cell():
     g = qscan_verdicts(c, c, 4.0, 2)
     assert g[0, 0] == 2  # (0.5, 0.5) marginal
     assert set(np.unique(g)) <= {0, 1, 2}
+
+
+# the module: the package's name classify is the function
+classify_module = importlib.import_module("fracstab.classify")
+# the raster code of each order-dependent verdict, written out apart from classify.py
+_SIDE_CODES = {VerdictKind.StableForOrders: 1, VerdictKind.UnstableForOrders: 0, VerdictKind.MarginalOnCurve: 2}
+
+
+@pytest.mark.parametrize(
+    "phi_value,code",
+    [
+        (1e-12, 2),  # margin = -band
+        (-1e-12, 2),  # margin = +band
+        (math.nextafter(1e-12, math.inf), 1),  # one ulp below -band
+        (math.nextafter(-1e-12, -math.inf), 0),  # one ulp above +band
+    ],
+)
+def test_tie_band_edges_shared(monkeypatch, phi_value, code):
+    # a22 = 0 and T_phi = 1 make the band 1e-12 and the margin -phi, both
+    # exact; classify and every raster cell must read the same side of it
+    def fake_orders(delta, a11, q1, q2):
+        shape = np.broadcast(q1, q2).shape
+        return np.full(shape, phi_value), np.ones(shape)
+
+    monkeypatch.setattr(classify_module, "phi_terms", lambda cp, a11: (phi_value, 1.0))
+    monkeypatch.setattr(classify_module, "phi_orders", fake_orders)
+    v = classify(SystemSpec(0.5, 1.0, -1.0, 0.0, 0.5, 0.25))
+    assert v.tie_band == 1e-12 and v.margin == -phi_value
+    assert _SIDE_CODES[v.kind] == code
+    assert (v.kind is VerdictKind.MarginalOnCurve) == (abs(v.margin) == v.tie_band)
+    assert (v.decay_exponent == 0.25) == (code == 1)
+    raster = qscan_verdicts(0.5, 0.0, 1.0, 5)
+    assert raster.dtype == np.int8 and np.all(raster == code)
+
+
+def test_every_kind_has_one_code():
+    assert set(_CODES) == set(VerdictKind)
+    for kind, code in _CODES.items():
+        v = Verdict(kind, Reason.OnGamma)
+        assert code == {(True, False): 1, (False, True): 0, (False, False): 2}[v.is_stable, v.is_unstable]
+        if kind in _SIDE_CODES:
+            assert code == _SIDE_CODES[kind]
+    # a region verdict fills the raster with its kind's code
+    assert np.all(qscan_verdicts(-1.0, -1.0, 1.0, 3) == _CODES[VerdictKind.StableAllOrders])
+    assert np.all(qscan_verdicts(3.0, 3.0, 4.0, 3) == _CODES[VerdictKind.UnstableAllOrders])
 
 
 def per_cell_qscan(a11, a22, delta, grid_n):

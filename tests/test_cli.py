@@ -468,11 +468,6 @@ def test_simulate_step_cap_usage(capsys):
     assert code == EXIT_USAGE
 
 
-def test_seed_flag_accepted(capsys):
-    code, _, _ = run_cli(capsys, "classify", *REF, "--q1", "0.5", "--q2", "0.25", "--seed", 7)
-    assert code == EXIT_STABLE
-
-
 def test_cli_classify_matches_library(capsys):
     rng = np.random.default_rng(30)
     n = 0

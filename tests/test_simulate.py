@@ -67,7 +67,6 @@ def test_trajectory_fields():
     assert len(traj.times) == len(traj.states) == 101
     assert traj.step == 0.01
     assert not traj.overflowed
-    assert isinstance(traj.method_order_note, str) and traj.method_order_note
     assert np.all(np.diff(traj.times) > 0)
     assert traj.norms() == pytest.approx(np.hypot(traj.states[:, 0], traj.states[:, 1]))
 
