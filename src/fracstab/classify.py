@@ -14,10 +14,12 @@ roots and are reported as marginal, never silently resolved. phi comes from
 the crossing frequency omega* of the roots +-i*omega*, by one exact solver
 for every order pair, equal and near-equal orders included (curve.py).
 
-The (q1, q2) rasters of qscan and qscan_verdicts run the region test once per
-system, because its verdict does not depend on the orders, and otherwise find
+The (q1, q2) raster of qscan_verdicts runs the region test once per system,
+because its verdict does not depend on the orders, and otherwise finds
 omega* for every cell at once by the Newton iteration that the scalar phi
-runs, applied to arrays (curve.phi_orders).
+runs, applied to arrays (curve.phi_orders). Each cell takes the steps of
+the scalar phi and gets its bits, so every raster cell is the classify
+verdict at its orders.
 
 A margin inside the tie band 1e-12*(|a22| + T_phi) is marginal, with T_phi
 the sum of the moduli of phi's terms (curve.phi_terms). The band is relative
@@ -48,7 +50,6 @@ __all__ = [
     "region_membership",
     "classify_order_independent",
     "classify",
-    "qscan",
     "qscan_verdicts",
     "a2_inequality_check",
     "tie_tolerance",
@@ -212,17 +213,6 @@ def classify(s: SystemSpec) -> Verdict:
     phi margin test. Raises DeltaZeroUnclassified when det(A) = 0 falls
     through the order-independent rules."""
     return _classify_params(s.a11, s.a22, s.delta(), s.q1, s.q2)
-
-
-def qscan(a11: float, a22: float, delta: float, grid_n: int) -> np.ndarray:
-    """Boolean stability raster over (q1, q2) in (0, 1]^2.
-
-    Cell [j-1, k-1] is True iff the system is classified stable at
-    q1 = j/grid_n, q2 = k/grid_n (j, k = 1..grid_n). Marginal cells are False
-    here; use qscan_verdicts, which decides the raster, to keep them
-    distinguishable.
-    """
-    return np.asarray(qscan_verdicts(a11, a22, delta, grid_n) == 1)
 
 
 def qscan_verdicts(a11: float, a22: float, delta: float, grid_n: int) -> np.ndarray:

@@ -288,7 +288,7 @@ def _cmd_simulate(args) -> int:
             _write_float_csv(fh, "t,x,y,norm\n", data)
         _write_manifest(args.out, "simulate", args)
     try:
-        est = estimate_decay(traj, args.tail_fraction)
+        est = estimate_decay(traj)
     except NotDecaying as exc:
         record = {
             "decaying": False,
@@ -302,7 +302,6 @@ def _cmd_simulate(args) -> int:
     record = {
         "decaying": True,
         "slope": est.slope,
-        "tail_fraction": est.tail_fraction,
         "r_squared": est.r_squared,
         "overflowed": traj.overflowed,
         "out": args.out,
@@ -374,7 +373,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--y0", type=float, required=True)
     p.add_argument("--t-end", type=float, required=True)
     p.add_argument("--h", type=float, required=True)
-    p.add_argument("--tail-fraction", type=float, default=0.5)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_simulate)
 

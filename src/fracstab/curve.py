@@ -166,7 +166,9 @@ def _omega_star(delta: float, a11: float, q1, q2):
     bracket: after the first step the iterates lie left of the root and rise
     to it (Fourier's condition). Newton stops on a step below
     1e-13*max(1, |u|) or a |K| at its rounding floor; more than _NEWTON_MAX
-    steps, or a final |K| above 1e-10, raises BracketFailure.
+    steps, or a final |K| above 1e-10, raises BracketFailure. Each cell of
+    an array stops on its own test and is stepped no further, so it takes
+    exactly the steps of the scalar call at its orders and returns its bits.
 
     phi takes the form of the module docstring with s_beta in the
     denominator. Where a11 > 0 the other form can cancel by a factor of
@@ -196,7 +198,7 @@ def _omega_star(delta: float, a11: float, q1, q2):
         if done.all():
             break
         step = k / (alpha + beta * np.exp(other - lae))
-        u = u - step
+        u = u - step * ~done  # a settled cell stays where the scalar phi stops
     else:
         raise BracketFailure(f"Newton for omega* did not settle in {_NEWTON_MAX} steps")
     if (abs(k) > _RESID_REL).any():
@@ -262,8 +264,8 @@ def phi_orders(delta: float, a11: float, q1, q2) -> tuple[np.ndarray, np.ndarray
     q1 and q2 broadcast against each other; returns the arrays of phi and
     T_phi. Pairs with q1 == q2 go through phi itself, in closed form; the
     others through the Newton iteration of _omega_star at once, which raises
-    BracketFailure if any cell fails. The scalar phi runs the same
-    iteration, so values agree to rounding, not always bitwise.
+    BracketFailure if any cell fails. Every cell takes the steps the scalar
+    phi takes, so each value is bitwise phi_terms at its order pair.
     """
     if not (math.isfinite(delta) and delta > 0.0):
         raise ValueError(f"delta must be finite and > 0, got {delta!r}")

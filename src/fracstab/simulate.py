@@ -70,6 +70,9 @@ _BLOCK = 256
 # states beyond this magnitude terminate the run with the overflow flag
 _OVERFLOW_LIMIT = 1e300
 
+# the share of the samples, counted from the end, that estimate_decay fits
+_TAIL_FRACTION = 0.5
+
 
 @dataclass(eq=False)
 class Trajectory:
@@ -93,7 +96,6 @@ class DecayEstimate:
     """Least-squares slope of log||state|| against log t over the tail."""
 
     slope: float
-    tail_fraction: float
     r_squared: float
 
 
@@ -294,15 +296,13 @@ def _add_far_field(far: np.ndarray, spectrum: np.ndarray, x: np.ndarray, n: int)
         far[n : n + count, i] += np.ldexp(np.fft.irfft(product, size)[b : b + count], exp)
 
 
-def estimate_decay(traj: Trajectory, tail_fraction: float) -> DecayEstimate:
-    """Fit log||state|| ~ slope * log t over the final tail_fraction of samples.
+def estimate_decay(traj: Trajectory) -> DecayEstimate:
+    """Fit log||state|| ~ slope * log t over the last half of the samples (_TAIL_FRACTION).
 
     Requires an actually decaying trajectory (final norm below the initial
     one, no overflow) and at least two tail samples above the 1e-300
     underflow guard; otherwise NotDecaying.
     """
-    if not (0.0 < tail_fraction <= 0.9):
-        raise ValueError(f"tail_fraction must lie in (0, 0.9], got {tail_fraction!r}")
     norms = traj.norms()
     if traj.overflowed:
         raise NotDecaying("trajectory overflowed; norm grew past 1e300")
@@ -313,7 +313,7 @@ def estimate_decay(traj: Trajectory, tail_fraction: float) -> DecayEstimate:
             f"final norm {norms[-1]:.6g} did not drop below initial {norms[0]:.6g}"
         )
     n = len(norms)
-    i0 = max(1, n - max(2, int(round(n * tail_fraction))))
+    i0 = max(1, n - max(2, int(round(n * _TAIL_FRACTION))))
     t = traj.times[i0:]
     y = norms[i0:]
     keep = y > 1e-300
@@ -326,6 +326,4 @@ def estimate_decay(traj: Trajectory, tail_fraction: float) -> DecayEstimate:
     ss_res = float(np.sum((log_y - fit) ** 2))
     ss_tot = float(np.sum((log_y - np.mean(log_y)) ** 2))
     r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return DecayEstimate(
-        slope=float(slope), tail_fraction=tail_fraction, r_squared=r_squared
-    )
+    return DecayEstimate(slope=float(slope), r_squared=r_squared)

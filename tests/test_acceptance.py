@@ -250,7 +250,7 @@ def test_criterion_9_simulator_corroboration():
     failures = []
 
     traj = integrate(SystemSpec(-1.0, 0.0, 0.0, -1.0, 0.5, 0.5), (1.0, 1.0), 500.0, 0.01)
-    est = estimate_decay(traj, 0.5)
+    est = estimate_decay(traj)
     if abs(est.slope - (-0.5)) > 0.20 * 0.5:
         failures.append(f"decoupled slope = {est.slope}")
 
@@ -286,7 +286,7 @@ def test_criterion_9_stable_case_at_stated_horizon():
     failures = []
     traj = integrate(SystemSpec(A11, A12, A21, A22, 0.5, 0.25), (1.0, 1.0), 200.0, 5e-3)
     try:
-        est = estimate_decay(traj, 0.5)
+        est = estimate_decay(traj)
     except Exception as exc:
         failures.append(f"no decay estimate: {exc}")
     else:

@@ -22,7 +22,7 @@ from fracstab import (
     count_unstable_roots,
     curve_point,
     phi,
-    qscan,
+    phi_terms,
     qscan_verdicts,
     region_membership,
     tie_tolerance,
@@ -176,15 +176,15 @@ def test_tie_tolerance_scale():
 
 
 def test_qscan_reference_cells():
-    g = qscan(REF_A["a11"], REF_A["a22"], REF_DELTA, 4)
-    assert g.shape == (4, 4) and g.dtype == bool
+    g = qscan_verdicts(REF_A["a11"], REF_A["a22"], REF_DELTA, 4) == 1
+    assert g.shape == (4, 4)
     assert g[1, 0]  # (q1, q2) = (2/4, 1/4) stable
     assert not g[0, 1]  # (q1, q2) = (1/4, 2/4) unstable
 
 
 def test_qscan_order_independent_fill():
-    assert qscan(-1.0, -1.0, 1.0, 4).all()
-    assert not qscan(3.0, 3.0, 4.0, 4).any()
+    assert (qscan_verdicts(-1.0, -1.0, 1.0, 4) == 1).all()
+    assert not (qscan_verdicts(3.0, 3.0, 4.0, 4) == 1).any()
 
 
 def test_qscan_verdicts_marginal_cell():
@@ -259,14 +259,17 @@ def per_cell_qscan(a11, a22, delta, grid_n):
     return out, phis
 
 
+def assert_same_bits(got, want):
+    np.testing.assert_array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
+
+
 def assert_raster_matches_oracle(a11, a22, delta, grid_n):
     expected, phis = per_cell_qscan(a11, a22, delta, grid_n)
     np.testing.assert_array_equal(qscan_verdicts(a11, a22, delta, grid_n), expected)
     if not np.isnan(phis).all():
         q = np.arange(1, grid_n + 1) / grid_n
         got = phi_orders(delta, a11, q[:, None], q[None, :])[0]
-        # np.exp and math.exp differ by an ulp on some inputs: no bit equality
-        assert np.all(np.abs(got - phis) <= 1e-11 * (1.0 + np.abs(phis)))
+        assert_same_bits(got, phis)
 
 
 @pytest.mark.parametrize("grid_n,n_systems", [(2, 8), (3, 8), (8, 8), (32, 3), (48, 2)])
@@ -298,6 +301,23 @@ def test_qscan_matches_per_cell_loop_special(a11, a22, delta, grid_n):
     assert_raster_matches_oracle(a11, a22, delta, grid_n)
 
 
+def test_band_edge_cells_match_classify():
+    # a22 one tie band from phi, where rounding decides the side: a raster
+    # cell that took other Newton steps than classify could read otherwise
+    rng = np.random.default_rng(77)
+    for _ in range(600):
+        a11, delta = rng.uniform(-3.0, 3.0), rng.uniform(0.1, 5.0)
+        g = int(rng.integers(3, 9))
+        j, k = (int(i) for i in rng.integers(1, g + 1, size=2))
+        phi_value, terms = phi_terms(CurveParams(delta, j / g, k / g), a11)
+        a22 = phi_value + rng.choice([-1.0, 1.0]) * 1e-12 * (abs(phi_value) + terms)
+        code = _CODES[_classify_params(a11, a22, delta, j / g, k / g).kind]
+        assert qscan_verdicts(a11, a22, delta, g)[j - 1, k - 1] == code
+        q = np.arange(1, g + 1) / g
+        phis, sums = phi_orders(delta, a11, q[:, None], q[None, :])
+        assert_same_bits([phis[j - 1, k - 1], sums[j - 1, k - 1]], [phi_value, terms])
+
+
 def test_qscan_bracket_failure(monkeypatch):
     # one Newton step cannot settle omega* for a11 = -1e6 in any
     # incommensurate cell, for the scalar phi and the raster alike
@@ -317,7 +337,7 @@ def test_qscan_rejects_bad_inputs():
 
 
 def test_qscan_rows_change_only_with_margin_sign():
-    g = qscan(REF_A["a11"], REF_A["a22"], REF_DELTA, 8)
+    g = qscan_verdicts(REF_A["a11"], REF_A["a22"], REF_DELTA, 8) == 1
     for j in range(8):
         q1 = (j + 1) / 8
         for k in range(7):

@@ -121,15 +121,14 @@ def test_stable_reference_long_horizon_decay():
 
 def test_estimate_decay_decoupled():
     traj = integrate(DECOUPLED, (1.0, 1.0), 50.0, 0.01)
-    est = estimate_decay(traj, 0.5)
+    est = estimate_decay(traj)
     assert est.slope == pytest.approx(-0.5, rel=0.20)
-    assert est.tail_fraction == 0.5
     assert est.r_squared > 0.99
 
 
 def test_estimate_decay_classical_focus():
     traj = integrate(FOCUS, (1.0, 0.0), 20.0, 0.01)
-    est = estimate_decay(traj, 0.5)
+    est = estimate_decay(traj)
     assert est.slope < -2.0  # exponential decay swamps any algebraic fit
 
 
@@ -141,7 +140,7 @@ def test_estimate_decay_classical_focus():
 )
 def test_estimate_decay_stable_reference_short_horizon():
     traj = integrate(REF_STABLE, (1.0, 1.0), 200.0, 5e-3)
-    est = estimate_decay(traj, 0.5)
+    est = estimate_decay(traj)
     assert est.slope == pytest.approx(-0.25, rel=0.30)
 
 
@@ -149,7 +148,7 @@ def test_estimate_decay_rejects_growth():
     traj = integrate(REF_GROWING, (1.0, 1.0), 50.0, 0.05)
     assert traj.norms()[-1] > traj.norms()[0]
     with pytest.raises(NotDecaying):
-        estimate_decay(traj, 0.5)
+        estimate_decay(traj)
 
 
 def test_overflow_is_flagged_not_raised():
@@ -158,7 +157,7 @@ def test_overflow_is_flagged_not_raised():
     assert len(traj.times) < 20001  # truncated early
     assert np.all(np.isfinite(traj.states))
     with pytest.raises(NotDecaying):
-        estimate_decay(traj, 0.5)
+        estimate_decay(traj)
 
 
 def test_linearity_in_initial_condition():
@@ -512,8 +511,3 @@ def test_input_validation():
         integrate(DECOUPLED, (1.0, 1.0), 1.0, 0.0)
     with pytest.raises(ValueError):
         integrate(DECOUPLED, (1.0, 1.0, 2.0), 1.0, 0.01)
-    traj = integrate(DECOUPLED, (1.0, 1.0), 1.0, 0.01)
-    for frac in (0.0, -0.2, 0.91, 1.5):
-        with pytest.raises(ValueError):
-            estimate_decay(traj, frac)
-    estimate_decay(traj, 0.9)  # closed right endpoint is legal
