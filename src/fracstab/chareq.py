@@ -28,7 +28,6 @@ __all__ = [
     "delta_eval",
     "term_majorant",
     "delta_rounding_bound",
-    "conjugate_symmetry_check",
 ]
 
 _EPS = sys.float_info.epsilon
@@ -186,19 +185,3 @@ def delta_rounding_bound(p: CharParams, s: complex) -> float:
     """
     log_s = cmath.log(s)
     return _RHO_ULPS * _EPS * (1.0 + (p.q1 + p.q2) * abs(log_s)) * term_majorant(p, abs(s))
-
-
-def conjugate_symmetry_check(p: CharParams, s: complex) -> bool:
-    """True iff Delta(conj(s)) equals conj(Delta(s)) to Delta's rounding bound.
-
-    Real coefficients and the principal branch commute with conjugation away
-    from the branch cut, so this holds for every s with Im s != 0; roots off
-    the real axis therefore come in conjugate pairs. The difference is judged
-    against delta_rounding_bound(p, s), which scales as Delta does under
-    time scaling.
-    """
-    if complex(s).imag == 0:
-        raise ValueError("conjugate_symmetry_check requires Im s != 0")
-    d = delta_eval(p, s)
-    d_conj = delta_eval(p, complex(s).conjugate())
-    return abs(d_conj - d.conjugate()) <= delta_rounding_bound(p, s)

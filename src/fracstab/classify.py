@@ -32,7 +32,6 @@ compares margin and band for classify and the rasters alike, and one table
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -40,18 +39,15 @@ import numpy as np
 
 from .chareq import SystemSpec
 from .curve import CurveParams, phi_orders, phi_terms
-from .errors import DeltaNotPositive, DeltaZeroUnclassified, DomainError
+from .errors import DeltaNotPositive, DeltaZeroUnclassified
 
 __all__ = [
     "VerdictKind",
     "Reason",
     "Verdict",
-    "RegionMembership",
-    "region_membership",
     "classify_order_independent",
     "classify",
     "qscan_verdicts",
-    "a2_inequality_check",
     "tie_tolerance",
 ]
 
@@ -120,12 +116,6 @@ class Verdict:
         return _CODES[self.kind] == 0
 
 
-@dataclass(frozen=True)
-class RegionMembership:
-    in_ru: bool
-    in_rs: bool
-
-
 def tie_tolerance(a22, phi_value, phi_terms):
     """Half-width of the marginal band around the curve: 1e-12 * (|a22| + T_phi).
 
@@ -150,19 +140,6 @@ def _side_of_gamma(a22, phi_value, phi_terms):
     band = tie_tolerance(a22, phi_value, phi_terms)
     code = np.int8(2) - (margin < -band) - np.int8(2) * (margin > band)
     return code, margin, band
-
-
-def region_membership(a11: float, a22: float, delta: float) -> RegionMembership:
-    """Literal membership in R_u(delta) and R_s(delta); defined for delta > 0 only.
-
-    Read off classify_order_independent, which holds the inequalities with
-    their exact strictness: R_u uses >= on both branches, R_s uses strict <.
-    The two regions are disjoint.
-    """
-    if not delta > 0.0:
-        raise DeltaNotPositive(f"R_u/R_s are defined for delta > 0, got {delta!r}")
-    v = classify_order_independent(a11, a22, delta)
-    return RegionMembership(in_ru=v is not None and v.is_unstable, in_rs=v is not None and v.is_stable)
 
 
 def classify_order_independent(a11: float, a22: float, delta: float) -> Verdict | None:
@@ -233,23 +210,3 @@ def qscan_verdicts(a11: float, a22: float, delta: float, grid_n: int) -> np.ndar
         return np.full((grid_n, grid_n), _CODES[oi.kind], dtype=np.int8)
     q = np.arange(1, grid_n + 1) / grid_n
     return _side_of_gamma(a22, *phi_orders(delta, a11, q[:, None], q[None, :]))[0]
-
-
-def a2_inequality_check(x: float, y: float, alpha: float) -> bool:
-    """Check alpha^y*cos(y) + alpha^(y-x)*cos(y-x) + alpha^(-x)*cos(x) >= 1.
-
-    Stated for x, y in [0, pi/2] and alpha > 0; the comparison allows
-    numerical slack of 1e-12 on the >= side. This inequality is what forces
-    the curve family to stay clear of the third quadrant.
-    """
-    half_pi = math.pi / 2.0
-    if not (0.0 <= x <= half_pi and 0.0 <= y <= half_pi):
-        raise DomainError(f"(x, y) must lie in [0, pi/2]^2, got ({x}, {y})")
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise DomainError(f"alpha must be finite and > 0, got {alpha!r}")
-    value = (
-        alpha**y * math.cos(y)
-        + alpha ** (y - x) * math.cos(y - x)
-        + alpha ** (-x) * math.cos(x)
-    )
-    return value >= 1.0 - 1e-12

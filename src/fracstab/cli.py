@@ -55,7 +55,6 @@ from .errors import (
     ContourThroughRoot,
     DeltaNotPositive,
     DeltaZeroUnclassified,
-    DomainError,
     NotDecaying,
     RefinementLimit,
     SingularStep,
@@ -223,12 +222,11 @@ def _cmd_classify(args) -> int:
 
 def _cmd_curve(args) -> int:
     cp = CurveParams(args.delta, args.q1, args.q2)
-    points = sample_curve(cp, args.omega_min, args.omega_max, args.n)
-    data = np.array([(pt.omega, pt.a11, pt.a22) for pt in points], dtype=float)
+    data = sample_curve(cp, args.a11_min, args.a11_max, args.n)
     with _overwrite(args.out) as fh:
         _write_float_csv(fh, "omega,a11,a22\n", data)
     _write_manifest(args.out, "curve", args)
-    _print_record({"rows": len(points), "out": args.out}, args.json)
+    _print_record({"rows": len(data), "out": args.out}, args.json)
     return EXIT_STABLE
 
 
@@ -346,8 +344,8 @@ def _build_parser() -> _Parser:
                        help="sample the critical curve to CSV")
     p.add_argument("--delta", type=float, required=True)
     _add_order_flags(p)
-    p.add_argument("--omega-min", type=float, required=True)
-    p.add_argument("--omega-max", type=float, required=True)
+    p.add_argument("--a11-min", type=float, required=True)
+    p.add_argument("--a11-max", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_curve)
@@ -391,7 +389,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (DeltaNotPositive, DomainError) as exc:
+    except DeltaNotPositive as exc:
         _err(f"data error: {exc}")
         return EXIT_DATA
     except (DeltaZeroUnclassified, ContourThroughRoot, AnnulusOutOfRange, SingularStep) as exc:

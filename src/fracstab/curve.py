@@ -13,13 +13,8 @@ frequency omega* and two equal forms of phi:
 
 The order gap multiplies a term instead of dividing one, so one solver
 serves every order pair; at q1 = q2 exactly, omega*^Q = delta.
-
-The paper parametrizes Gamma by w = log(omega) - log(delta)/Q, as
-a11 = delta^(q1/Q)*h(w, q1, q2) and a22 = delta^(q2/Q)*h(-w, q1, q2) with
-h = rho2*exp(q1*w) - rho1*exp(-q2*w), rho_k = sin(q_k*pi/2)/sin((q2-q1)*pi/2);
-rho, h_func, curve_point and sample_curve sample Gamma so. Where
-|q1 - q2| <= EPS_COMM the rho_k lose all precision, and they sample the line
-that Gamma is at q1 = q2 = q, parametrized by h(w, q, q) = cos(q*pi/2) - w.
+sample_curve tabulates Gamma by a11 through that solver, so each of its
+points is one that classify puts on Gamma.
 """
 
 from __future__ import annotations
@@ -29,26 +24,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketFailure, CommensurateOrders
+from .errors import BracketFailure
 from .chareq import _HALF_PI, _check_order
 
 __all__ = [
-    "EPS_COMM",
     "CurveParams",
-    "CurvePoint",
-    "rho",
-    "h_func",
-    "curve_point",
     "solve_omega_star",
     "phi",
     "phi_terms",
     "phi_orders",
     "sample_curve",
-    "u_max",
 ]
-
-# the order gap below which rho, h_func and curve_point sample the equal-order line
-EPS_COMM = 1e-8
 
 # Newton for omega* (_omega_star): stop on a step below _STEP_REL*max(1, |u|)
 # or a residual within _FLOOR_ULPS of the magnitudes it is computed from; fail
@@ -57,11 +43,6 @@ _STEP_REL = 1e-13
 _FLOOR_ULPS = 4.0 * np.finfo(float).eps
 _NEWTON_MAX = 50
 _RESID_REL = 1e-10
-
-
-def _commensurate(q1, q2):
-    """True where |q1 - q2| <= EPS_COMM, for floats or arrays of orders."""
-    return abs(q1 - q2) <= EPS_COMM
 
 
 @dataclass(frozen=True)
@@ -77,68 +58,6 @@ class CurveParams:
         _check_order("q2", self.q2)
         if not (isinstance(self.delta, (int, float)) and math.isfinite(self.delta) and self.delta > 0.0):
             raise ValueError(f"delta must be finite and > 0, got {self.delta!r}")
-
-    @property
-    def commensurate(self) -> bool:
-        return _commensurate(self.q1, self.q2)
-
-
-@dataclass(frozen=True)
-class CurvePoint:
-    """One sample (w, a11(w), a22(w)) of Gamma."""
-
-    omega: float
-    a11: float
-    a22: float
-
-    def __post_init__(self) -> None:
-        # Gamma stays out of the open third quadrant.
-        if self.a11 < 0.0 and self.a22 < 0.0:
-            raise ValueError(
-                f"curve point ({self.a11}, {self.a22}) lies in the third quadrant"
-            )
-
-
-def rho(k: int, q1: float, q2: float) -> float:
-    """rho_k(q1, q2) = sin(q_k*pi/2) / sin((q2-q1)*pi/2) for k in {1, 2}.
-
-    Defined only away from the commensurate band; the numerator is positive,
-    so the sign is the sign of q2 - q1.
-    """
-    if k not in (1, 2):
-        raise ValueError(f"k must be 1 or 2, got {k!r}")
-    if _commensurate(q1, q2):
-        raise CommensurateOrders(
-            f"rho is singular for |q1 - q2| <= {EPS_COMM:g} (got q1={q1}, q2={q2})"
-        )
-    qk = q1 if k == 1 else q2
-    return math.sin(qk * math.pi / 2.0) / math.sin((q2 - q1) * math.pi / 2.0)
-
-
-def h_func(omega: float, q1: float, q2: float) -> float:
-    """The curve profile h; switches to the commensurate line inside the band.
-
-    Incommensurate: rho2*exp(q1*w) - rho1*exp(-q2*w), strictly increasing in w
-    for q1 < q2 and strictly decreasing for q1 > q2. Commensurate
-    (|q1 - q2| <= EPS_COMM): cos(q*pi/2) - w with q = (q1+q2)/2, decreasing;
-    cos(q*pi/2) is taken as sin((1-q)*pi/2), as in _equal_orders, so the line
-    is a11 + a22 = 0 exactly at q = 1.
-    """
-    if _commensurate(q1, q2):
-        q = 0.5 * (q1 + q2)
-        return math.sin((1.0 - q) * _HALF_PI) - omega
-    r1 = rho(1, q1, q2)
-    r2 = rho(2, q1, q2)
-    return r2 * math.exp(q1 * omega) - r1 * math.exp(-q2 * omega)
-
-
-def curve_point(cp: CurveParams, omega: float) -> CurvePoint:
-    """The point of Gamma(delta, q1, q2) at curve parameter w."""
-    e1 = cp.q1 / (cp.q1 + cp.q2)
-    e2 = cp.q2 / (cp.q1 + cp.q2)
-    a11 = cp.delta**e1 * h_func(omega, cp.q1, cp.q2)
-    a22 = cp.delta**e2 * h_func(-omega, cp.q1, cp.q2)
-    return CurvePoint(omega, a11, a22)
 
 
 def _equal_orders(delta: float, a11: float, q):
@@ -173,9 +92,10 @@ def _omega_star(delta: float, a11: float, q1, q2):
     phi takes the form of the module docstring with s_beta in the
     denominator. Where a11 > 0 the other form can cancel by a factor of
     order (s_beta/s_alpha)^2; this one never has larger terms than the
-    1/sin((q2-q1)*pi/2) form of h. T_phi, the sum of the moduli of the terms,
-    bounds phi's rounding and scales as phi does under time scaling. Scaled
-    by the larger term, phi is +-inf past double range, never NaN.
+    paper's form, which divides by sin((q2-q1)*pi/2). T_phi, the sum of the
+    moduli of the terms, bounds phi's rounding and scales as phi does under
+    time scaling. Scaled by the larger term, phi is +-inf past double range,
+    never NaN.
     sin(Q*pi/2) for Q > 1 is sin((2-Q)*pi/2), from the exact 1 - q_k.
     """
     a, b = np.minimum(q1, q2), np.maximum(q1, q2)
@@ -231,11 +151,7 @@ def _crossing(cp: CurveParams, a11: float) -> tuple[float, float, float]:
 
 
 def solve_omega_star(cp: CurveParams, a11: float) -> float:
-    """w* = log(omega*) - log(delta)/(q1+q2) at a11; continuous, 0 at q1 = q2.
-
-    For |q1 - q2| <= EPS_COMM curve_point samples the equal-order line by a
-    parameter that is not w*, so curve_point(cp, w*).a11 == a11 only off it.
-    """
+    """w* = log(omega*) - log(delta)/(q1+q2) at a11; continuous, 0 at q1 = q2."""
     return _crossing(cp, a11)[0]
 
 
@@ -283,32 +199,21 @@ def phi_orders(delta: float, a11: float, q1, q2) -> tuple[np.ndarray, np.ndarray
     return out, terms
 
 
-def sample_curve(
-    cp: CurveParams, omega_min: float, omega_max: float, n: int
-) -> list[CurvePoint]:
-    """n curve points at uniformly spaced w in [omega_min, omega_max]."""
-    if not omega_min < omega_max:
-        raise ValueError("omega_min must be < omega_max")
+def sample_curve(cp: CurveParams, a11_min: float, a11_max: float, n: int) -> np.ndarray:
+    """The (n, 3) array of rows (w*, a11, phi(a11)) of Gamma.
+
+    a11 runs over a11_min + i*(a11_max - a11_min)/(n - 1), i = 0, ..., n-1;
+    each row is what solve_omega_star and phi return at its a11, bit for
+    bit, so classify puts every row on Gamma with margin 0.
+    """
+    if not a11_min < a11_max:
+        raise ValueError("a11_min must be < a11_max")
     if n < 2:
         raise ValueError("n must be >= 2")
-    step = (omega_max - omega_min) / (n - 1)
-    return [curve_point(cp, omega_min + i * step) for i in range(n)]
-
-
-def u_max(q1: float, q2: float) -> float:
-    """The extremal value u_max for 0 < q1 < q2 <= 1; always < 1.
-
-    u_max = (sin(q2*pi/2)/q2)^(q2/(q2-q1)) * (q1/sin(q1*pi/2))^(q1/(q2-q1))
-            * (q2-q1)/sin((q2-q1)*pi/2)
-
-    This is the maximum of the ratio controlling how far the curve family can
-    reach toward the third quadrant; u_max < 1 is what keeps Gamma outside it.
-    """
-    if not (0.0 < q1 < q2 <= 1.0):
-        raise ValueError(f"u_max requires 0 < q1 < q2 <= 1, got ({q1}, {q2})")
-    d = q2 - q1
-    # evaluated in log space: the two power factors overflow separately for
-    # small q2 - q1 even though their product stays bounded
-    ell = lambda q: math.log(math.sin(q * math.pi / 2.0) / q)
-    log_pow = (q2 * ell(q2) - q1 * ell(q1)) / d
-    return math.exp(log_pow) * d / math.sin(d * math.pi / 2.0)
+    step = (a11_max - a11_min) / (n - 1)
+    rows = np.empty((n, 3))
+    for i in range(n):
+        a11 = a11_min + i * step
+        w, val, _ = _crossing(cp, a11)
+        rows[i] = w, a11, val
+    return rows

@@ -6,16 +6,13 @@ catch the whole family with one clause while tests pin the exact subtype.
 
 __all__ = [
     "FracstabError",
-    "CommensurateOrders",
     "BracketFailure",
     "DeltaNotPositive",
     "DeltaZeroUnclassified",
-    "DomainError",
     "ContourThroughRoot",
     "AnnulusOutOfRange",
     "RefinementLimit",
     "NotRational",
-    "DimensionCap",
     "StepCap",
     "NotDecaying",
     "SingularStep",
@@ -24,10 +21,6 @@ __all__ = [
 
 class FracstabError(Exception):
     """Base class for all fracstab errors."""
-
-
-class CommensurateOrders(FracstabError):
-    """Raised when a formula valid only for q1 != q2 is asked about equal orders."""
 
 
 class BracketFailure(FracstabError):
@@ -40,10 +33,6 @@ class DeltaNotPositive(FracstabError):
 
 class DeltaZeroUnclassified(FracstabError):
     """delta == 0 and no order-independent rule applies; the theory is silent here."""
-
-
-class DomainError(FracstabError):
-    """Arguments fall outside the stated domain box of an inequality check."""
 
 
 class ContourThroughRoot(FracstabError):
@@ -75,10 +64,6 @@ class RefinementLimit(FracstabError):
 
 class NotRational(FracstabError):
     """Orders are not exact rationals with the requested denominators."""
-
-
-class DimensionCap(FracstabError):
-    """The companion system would exceed the supported dimension."""
 
 
 class StepCap(FracstabError):

@@ -33,7 +33,6 @@ from .errors import (
     AnnulusOutOfRange,
     ContourThroughRoot,
     DeltaNotPositive,
-    DimensionCap,
     NotRational,
     RefinementLimit,
 )
@@ -410,9 +409,8 @@ def commensurate_reduce(
 
     denominators are the claimed denominators of q1 and q2; their lcm n must
     not exceed 64 and the orders must match k/n to within 1e-12, else
-    NotRational. DimensionCap guards k1 + k2 > 128. The chain rows shift by
-    one 1/n-derivative each; the rows for D^(q1)x and D^(q2)y couple back to
-    the x and y slots.
+    NotRational. The chain rows shift by one 1/n-derivative each; the rows
+    for D^(q1)x and D^(q2)y couple back to the x and y slots.
     """
     n1, n2 = denominators
     if not (isinstance(n1, int) and isinstance(n2, int) and n1 >= 1 and n2 >= 1):
@@ -427,8 +425,6 @@ def commensurate_reduce(
     if k2 < 1 or abs(s.q2 - k2 / n) > 1e-12:
         raise NotRational(f"q2 = {s.q2!r} is not k/{n} within 1e-12")
     size = k1 + k2
-    if size > 128:
-        raise DimensionCap(f"companion dimension {size} exceeds 128")
     b = np.zeros((size, size))
     for i in range(k1 - 1):
         b[i, i + 1] = 1.0

@@ -16,22 +16,19 @@ from fracstab import (
     CurveParams,
     SystemSpec,
     VerdictKind,
-    a2_inequality_check,
     classify,
+    classify_order_independent,
     commensurate_reduce,
     count_unstable_roots,
-    curve_point,
     delta_eval,
     estimate_decay,
     integrate,
     phi,
     polish_unstable_roots,
-    region_membership,
-    sample_curve,
     solve_omega_star,
-    u_max,
     unstable_root_bounds,
 )
+from paper_gamma import a2_inequality, curve_point, u_max
 
 A11, A12, A21, A22 = 0.00001, 1.0, -0.0022, 0.1
 DELTA = A11 * A22 - A12 * A21
@@ -147,7 +144,8 @@ def test_criterion_5_order_independent_regions():
             if delta <= 0.0:
                 continue
             a11, a22 = rng.uniform(-5.0, 5.0, size=2)
-            if region_membership(a11, a22, delta).in_ru:
+            v = classify_order_independent(a11, a22, delta)
+            if v is not None and v.is_unstable:
                 return a11, a22, delta
 
     for draw, want in ((draw_rs, VerdictKind.StableAllOrders),
@@ -170,7 +168,7 @@ def test_criterion_6_scalar_inequality_and_u_max():
     for _ in range(100_000):
         x, y = rng.uniform(0.0, half_pi, size=2)
         alpha = math.exp(rng.uniform(-6.0, 6.0))
-        if not a2_inequality_check(x, y, alpha):
+        if not a2_inequality(x, y, alpha):
             failures.append((x, y, alpha))
     for _ in range(10_000):
         q1, q2 = np.sort(rng.uniform(0.0, 1.0, size=2))
@@ -219,7 +217,7 @@ def test_criterion_8_curve_geometry():
         delta = rng.uniform(0.1, 10.0)
         q1, q2 = rng.uniform(0.05, 1.0, size=2)
         cp = CurveParams(delta, q1, q2)
-        pts = sample_curve(cp, -3.0, 3.0, 41)
+        pts = [curve_point(cp, -3.0 + i * (6.0 / 40)) for i in range(41)]
         a11s = np.array([p.a11 for p in pts])
         a22s = np.array([p.a22 for p in pts])
         if np.any((a11s < 0.0) & (a22s < 0.0)):
@@ -242,6 +240,11 @@ def test_criterion_8_curve_geometry():
             resid = abs(delta_eval(CharParams(pt.a11, pt.a22, delta, q1, q2), s))
             if resid > 1e-9 * (1.0 + delta):
                 failures.append(("off-curve root", delta, q1, q2, pt.omega, resid))
+            # phi and w* recover the point from its a11
+            if abs(phi(cp, pt.a11) - pt.a22) > 1e-9 * (1.0 + abs(pt.a11) + abs(pt.a22)):
+                failures.append(("phi off the point", delta, q1, q2, pt.omega))
+            if abs(solve_omega_star(cp, pt.a11) - pt.omega) > 1e-9:
+                failures.append(("w* off the point", delta, q1, q2, pt.omega))
     _verdict(8, "curve geometry invariants, 100 curves", failures, t0, budget=30.0)
 
 

@@ -9,7 +9,6 @@ import pytest
 from fracstab import (
     CharParams,
     SystemSpec,
-    conjugate_symmetry_check,
     delta_eval,
     delta_rounding_bound,
     principal_power,
@@ -105,6 +104,22 @@ def test_imaginary_axis_powers_exact():
     assert principal_power(-4j, 0.5) == pytest.approx(math.sqrt(2.0) * (1 - 1j), rel=1e-15)
     got = delta_eval(CharParams(0.0, 1e-16, 1.0, 1.0, 1.0), 1j)
     assert got == -1e-16j and got.imag < 0.0
+
+
+def conjugate_symmetry_check(p: CharParams, s: complex) -> bool:
+    """True iff Delta(conj(s)) equals conj(Delta(s)) to Delta's rounding bound.
+
+    Real coefficients and the principal branch commute with conjugation away
+    from the branch cut, so this holds for every s with Im s != 0; roots off
+    the real axis therefore come in conjugate pairs. The difference is judged
+    against delta_rounding_bound(p, s), which scales as Delta does under
+    time scaling.
+    """
+    if complex(s).imag == 0:
+        raise ValueError("conjugate_symmetry_check requires Im s != 0")
+    d = delta_eval(p, s)
+    d_conj = delta_eval(p, complex(s).conjugate())
+    return abs(d_conj - d.conjugate()) <= delta_rounding_bound(p, s)
 
 
 def test_conjugate_symmetry_examples():

@@ -11,64 +11,55 @@ from fracstab import (
     CurveParams,
     DeltaNotPositive,
     DeltaZeroUnclassified,
-    DomainError,
     Reason,
     SystemSpec,
     Verdict,
     VerdictKind,
-    a2_inequality_check,
     classify,
     classify_order_independent,
     count_unstable_roots,
-    curve_point,
     phi,
     phi_terms,
     qscan_verdicts,
-    region_membership,
     tie_tolerance,
 )
 from fracstab import curve
 from fracstab.classify import _CODES, _classify_params
 from fracstab.curve import phi_orders
+from paper_gamma import a2_inequality, curve_point
 
 REF_A = dict(a11=0.00001, a12=1.0, a21=-0.0022, a22=0.1)
 REF_DELTA = REF_A["a11"] * REF_A["a22"] - REF_A["a12"] * REF_A["a21"]
 
 
 def test_region_membership_examples():
-    m = region_membership(-1.0, -1.0, 1.0)
-    assert m.in_rs and not m.in_ru
-    m = region_membership(1.0, 1.0, 0.5)
-    assert m.in_ru and not m.in_rs
-    m = region_membership(REF_A["a11"], REF_A["a22"], REF_DELTA)
-    assert not m.in_ru and not m.in_rs
-
-
-def test_region_membership_requires_positive_delta():
-    with pytest.raises(DeltaNotPositive):
-        region_membership(1.0, 1.0, 0.0)
-    with pytest.raises(DeltaNotPositive):
-        region_membership(1.0, 1.0, -2.0)
+    v = classify_order_independent(-1.0, -1.0, 1.0)
+    assert v.is_stable and not v.is_unstable
+    v = classify_order_independent(1.0, 1.0, 0.5)
+    assert v.is_unstable and not v.is_stable
+    assert classify_order_independent(REF_A["a11"], REF_A["a22"], REF_DELTA) is None
 
 
 def test_region_membership_boundary_strictness():
     # R_u uses non-strict inequalities, R_s strict ones
-    assert region_membership(2.0, 1.0, 2.0).in_ru  # sum == delta + 1
-    assert region_membership(1.0, 2.0, 2.0).in_ru  # product == delta
-    assert not region_membership(-1.0, 1.0, 2.0).in_rs  # sum == 0
-    assert not region_membership(-3.0, 1.0, 2.0).in_rs  # max == min(1, delta)
-    assert region_membership(-3.0, 0.999999, 2.0).in_rs
+    assert classify_order_independent(2.0, 1.0, 2.0).is_unstable  # sum == delta + 1
+    assert classify_order_independent(1.0, 2.0, 2.0).is_unstable  # product == delta
+    assert classify_order_independent(-1.0, 1.0, 2.0) is None  # sum == 0
+    assert classify_order_independent(-3.0, 1.0, 2.0) is None  # max == min(1, delta)
+    assert classify_order_independent(-3.0, 0.999999, 2.0).is_stable
 
 
 def test_region_disjointness():
+    # R_u is tested first, so none of its points may satisfy R_s's inequalities
     rng = np.random.default_rng(20)
     for _ in range(100_000):
         a11, a22 = rng.uniform(-8.0, 8.0, size=2)
         delta = rng.uniform(0.0, 10.0)
         if delta == 0.0:
             continue
-        m = region_membership(a11, a22, delta)
-        assert not (m.in_ru and m.in_rs)
+        v = classify_order_independent(a11, a22, delta)
+        if v is not None and v.is_unstable:
+            assert not (a11 + a22 < 0.0 and max(a11, a22) < min(1.0, delta))
 
 
 def test_order_independent_examples():
@@ -159,8 +150,6 @@ def test_classify_overflowed_delta():
         classify(s)
     with pytest.raises(DeltaNotPositive):
         classify_order_independent(1e200, 1e200, math.nan)
-    with pytest.raises(DeltaNotPositive):
-        region_membership(1e200, 1e200, math.nan)
 
 
 def test_tie_tolerance_scale():
@@ -390,15 +379,9 @@ def test_classifier_matches_root_count():
 
 
 def test_a2_inequality_examples():
-    assert a2_inequality_check(0.0, 0.0, 1.0)
-    assert a2_inequality_check(math.pi / 2, math.pi / 2, 1.0)  # boundary equality
-    assert a2_inequality_check(0.3, 1.1, 7.5)
-
-
-def test_a2_inequality_domain():
-    for x, y, alpha in [(-0.1, 0.5, 1.0), (0.5, 2.0, 1.0), (0.5, 0.5, 0.0), (0.5, 0.5, -3.0)]:
-        with pytest.raises(DomainError):
-            a2_inequality_check(x, y, alpha)
+    assert a2_inequality(0.0, 0.0, 1.0)
+    assert a2_inequality(math.pi / 2, math.pi / 2, 1.0)  # boundary equality
+    assert a2_inequality(0.3, 1.1, 7.5)
 
 
 def test_a2_inequality_random_with_reflection():
@@ -406,8 +389,8 @@ def test_a2_inequality_random_with_reflection():
     for _ in range(50_000):
         x, y = rng.uniform(0.0, math.pi / 2, size=2)
         alpha = rng.uniform(0.01, 20.0)
-        assert a2_inequality_check(x, y, alpha)
-        assert a2_inequality_check(x, y, 1.0 / alpha)
+        assert a2_inequality(x, y, alpha)
+        assert a2_inequality(x, y, 1.0 / alpha)
 
 
 def crossing_phi_mp(mp, delta, a11, q1, q2, log_omega):

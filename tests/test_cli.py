@@ -25,6 +25,7 @@ from fracstab.cli import (
     _fmt,
     main,
 )
+from paper_gamma import curve_point
 
 REF = ["--a11", "0.00001", "--a12", "1", "--a21", "-0.0022", "--a22", "0.1"]
 SQRT2 = repr(math.sqrt(2.0))
@@ -178,7 +179,7 @@ def test_classify_marginal_record(capsys):
 def test_curve_csv_monotone(tmp_path, capsys):
     out_path = tmp_path / "curve.csv"
     code, _, _ = run_cli(capsys, "curve", "--delta", 4, "--q1", "0.6", "--q2", "0.8",
-                      "--omega-min", -3, "--omega-max", 3, "--n", 601, "--out", out_path)
+                      "--a11-min", -3, "--a11-max", 3, "--n", 601, "--out", out_path)
     assert code == 0
     lines = out_path.read_text().strip().splitlines()
     assert lines[0] == "omega,a11,a22"
@@ -186,18 +187,22 @@ def test_curve_csv_monotone(tmp_path, capsys):
     rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
     a11s = [r[1] for r in rows]
     assert all(b > a for a, b in zip(a11s, a11s[1:]))
-    # 17 significant digits round-trip the library values exactly
-    from fracstab import CurveParams, curve_point
+    a22s = [r[2] for r in rows]
+    assert all(b < a for a, b in zip(a22s, a22s[1:]))
+    # 17 significant digits round-trip the library values exactly, and the
+    # paper's parametrization at w* gives the same point
     cp = CurveParams(4.0, 0.6, 0.8)
     for w, a11, a22 in rows[::100]:
+        assert w == curve.solve_omega_star(cp, a11) and a22 == curve.phi(cp, a11)
         pt = curve_point(cp, w)
-        assert a11 == pt.a11 and a22 == pt.a22
+        assert pt.a11 == pytest.approx(a11, rel=1e-12, abs=1e-12)
+        assert pt.a22 == pytest.approx(a22, rel=1e-12, abs=1e-12)
 
 
 def test_curve_csv_commensurate_line(tmp_path, capsys):
     out_path = tmp_path / "line.csv"
     code, _, _ = run_cli(capsys, "curve", "--delta", 4, "--q1", "0.5", "--q2", "0.5",
-                      "--omega-min", -2, "--omega-max", 2, "--n", 101, "--out", out_path)
+                      "--a11-min", -2, "--a11-max", 2, "--n", 101, "--out", out_path)
     assert code == 0
     line = 2.0 * math.sqrt(4.0) * math.cos(math.pi / 4)
     for ln in out_path.read_text().strip().splitlines()[1:]:
@@ -205,7 +210,7 @@ def test_curve_csv_commensurate_line(tmp_path, capsys):
         assert a11 + a22 == pytest.approx(line, abs=1e-12)
     # at q1 = q2 = 1 the line is a11 + a22 = 0 in every row, exactly
     code, _, _ = run_cli(capsys, "curve", "--delta", 4, "--q1", 1, "--q2", 1,
-                      "--omega-min", -2, "--omega-max", 2, "--n", 101, "--out", out_path)
+                      "--a11-min", -2, "--a11-max", 2, "--n", 101, "--out", out_path)
     assert code == 0
     rows = out_path.read_text().strip().splitlines()[1:]
     assert len(rows) == 101
@@ -217,7 +222,7 @@ def test_curve_csv_commensurate_line(tmp_path, capsys):
 def test_curve_csv_reference_interpolation(tmp_path, capsys):
     out_path = tmp_path / "ref.csv"
     code, _, _ = run_cli(capsys, "curve", "--delta", "0.002201", "--q1", "0.5", "--q2", "0.25",
-                      "--omega-min", "0.6", "--omega-max", "1.0", "--n", 401, "--out", out_path)
+                      "--a11-min", "-0.001", "--a11-max", "0.001", "--n", 401, "--out", out_path)
     assert code == 0
     rows = [[float(v) for v in ln.split(",")]
             for ln in out_path.read_text().strip().splitlines()[1:]]
@@ -225,22 +230,24 @@ def test_curve_csv_reference_interpolation(tmp_path, capsys):
     for (w0, x0, y0), (w1, x1, y1) in zip(rows, rows[1:]):
         if (x0 - 1e-5) * (x1 - 1e-5) <= 0.0:
             t = (1e-5 - x0) / (x1 - x0)
-            hit = y0 + t * (y1 - y0)
+            hit = y0 + t * (y1 - y0), w0 + t * (w1 - w0)
             break
     assert hit is not None
-    assert hit == pytest.approx(0.208493, abs=1e-5)
+    assert hit[0] == pytest.approx(0.208493, abs=1e-5)
+    assert hit[1] == pytest.approx(0.818108, abs=1e-5)
 
 
 def test_curve_manifest(tmp_path, capsys):
     out_path = tmp_path / "c.csv"
     code, _, _ = run_cli(capsys, "curve", "--delta", 1, "--q1", "0.3", "--q2", "0.7",
-                      "--omega-min", -1, "--omega-max", 1, "--n", 11, "--out", out_path)
+                      "--a11-min", -1, "--a11-max", 1, "--n", 11, "--out", out_path)
     assert code == 0
     man = json.loads((tmp_path / "c.csv.manifest.json").read_text())
     assert man["command"] == "curve"
     assert man["tool_version"] == fracstab.__version__
     assert str(out_path) in man["outputs"]
     assert man["inputs"]["delta"] == 1.0
+    assert man["inputs"]["a11_min"] == -1.0 and man["inputs"]["a11_max"] == 1.0
     assert man["timestamp"]
 
 
@@ -248,32 +255,32 @@ def test_curve_byte_stable(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):
         code, _, _ = run_cli(capsys, "curve", "--delta", 2.5, "--q1", "0.45", "--q2", "0.95",
-                          "--omega-min", -2, "--omega-max", 2, "--n", 200, "--out", path)
+                          "--a11-min", -2, "--a11-max", 2, "--n", 200, "--out", path)
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
 
 
-@pytest.mark.parametrize("delta, q1, q2, omega_min, omega_max, n", [
+@pytest.mark.parametrize("delta, q1, q2, a11_min, a11_max, n", [
     (2.5, 0.45, 0.95, -2.0, 2.0, 200),
     (4.0, 0.5, 0.5, -3.0, 3.0, 1500),  # more rows than one write chunk
     (0.002201, 0.5, 0.25, 0.6, 1.0, 2),
 ])
-def test_curve_csv_bytes(tmp_path, capsys, delta, q1, q2, omega_min, omega_max, n):
+def test_curve_csv_bytes(tmp_path, capsys, delta, q1, q2, a11_min, a11_max, n):
     out_path = tmp_path / "curve.csv"
     code, _, _ = run_cli(capsys, "curve", "--delta", repr(delta), "--q1", repr(q1),
-                         "--q2", repr(q2), f"--omega-min={omega_min!r}",
-                         f"--omega-max={omega_max!r}", "--n", n, "--out", out_path)
+                         "--q2", repr(q2), f"--a11-min={a11_min!r}",
+                         f"--a11-max={a11_max!r}", "--n", n, "--out", out_path)
     assert code == EXIT_STABLE
-    points = sample_curve(CurveParams(delta, q1, q2), omega_min, omega_max, n)
+    rows = sample_curve(CurveParams(delta, q1, q2), a11_min, a11_max, n)
     lines = ["omega,a11,a22\n"]
-    for pt in points:
-        lines.append(f"{_fmt(pt.omega)},{_fmt(pt.a11)},{_fmt(pt.a22)}\n")
+    for w, a11, a22 in rows:
+        lines.append(f"{_fmt(w)},{_fmt(a11)},{_fmt(a22)}\n")
     assert out_path.read_bytes() == "".join(lines).encode()
 
 
 def test_curve_unwritable_out(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "curve", "--delta", 1, "--q1", "0.3", "--q2", "0.7",
-                      "--omega-min", -1, "--omega-max", 1, "--n", 11,
+                      "--a11-min", -1, "--a11-max", 1, "--n", 11,
                       "--out", tmp_path / "missing-dir" / "c.csv")
     assert code == EXIT_DATA == 65
 
@@ -613,7 +620,7 @@ OUT_COMMANDS = {
     "simulate": ["simulate", "--a11", -1, "--a12", 0, "--a21", 0, "--a22", -1, "--q1", "0.5",
                  "--q2", "0.5", "--x0", 1, "--y0", 1, "--t-end", 1, "--h", "0.01"],
     "curve": ["curve", "--delta", 2.5, "--q1", "0.45", "--q2", "0.95",
-              "--omega-min", -2, "--omega-max", 2, "--n", 50],
+              "--a11-min", -2, "--a11-max", 2, "--n", 50],
 }
 
 

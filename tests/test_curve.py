@@ -1,4 +1,4 @@
-"""Tests for the critical-curve machinery: rho, h, the parametrization, phi."""
+"""Tests for the critical curve: phi, w*, sample_curve, and the paper's parametrization."""
 
 import math
 
@@ -8,19 +8,17 @@ import pytest
 from fracstab import (
     CharParams,
     CurveParams,
-    CurvePoint,
-    CommensurateOrders,
-    curve_point,
+    VerdictKind,
+    classify_order_independent,
     delta_eval,
-    h_func,
     phi,
-    region_membership,
-    rho,
+    phi_terms,
     sample_curve,
     solve_omega_star,
-    u_max,
 )
+from fracstab.classify import _classify_params
 from fracstab.curve import phi_orders
+from paper_gamma import curve_point, h_func, rho, u_max
 
 REF_DELTA = 0.002201
 
@@ -32,14 +30,6 @@ def test_curve_params_validation():
         CurveParams(-1.0, 0.5, 0.5)
     with pytest.raises(ValueError):
         CurveParams(1.0, 0.5, 1.5)
-    assert not CurveParams(1.0, 0.3, 0.7).commensurate
-    assert CurveParams(1.0, 0.3, 0.3).commensurate
-
-
-def test_curve_point_rejects_third_quadrant():
-    with pytest.raises(ValueError):
-        CurvePoint(0.0, -1.0, -2.0)
-    CurvePoint(0.0, -1.0, 2.0)
 
 
 def test_rho_closed_forms():
@@ -55,31 +45,20 @@ def test_rho_closed_forms():
         assert math.copysign(1.0, rho(1, q1, q2)) == math.copysign(1.0, q2 - q1)
 
 
-def test_rho_rejects_commensurate():
-    with pytest.raises(CommensurateOrders):
-        rho(1, 0.5, 0.5)
-    with pytest.raises(CommensurateOrders):
-        rho(2, 0.5, 0.5 + 1e-9)
-
-
 def test_h_closed_forms():
     assert h_func(0.0, 1 / 3, 2 / 3) == pytest.approx(math.sqrt(3.0) - 1.0, rel=1e-12)
-    assert h_func(0.0, 0.5, 0.5) == pytest.approx(math.cos(math.pi / 4), rel=1e-12)
     # scaling by delta^(q1/(q1+q2)) must reproduce a known a11 on the curve
     v = h_func(0.818108, 0.5, 0.25)
     assert v == pytest.approx(0.00001 * REF_DELTA ** (-2.0 / 3.0), rel=1e-3)
 
 
 def test_h_monotone_direction():
-    # strictly increasing in omega for q1 < q2, decreasing for q1 > q2;
-    # the commensurate branch cos(q pi/2) - omega is always decreasing
+    # strictly increasing in w for q1 < q2, decreasing for q1 > q2
     grid = np.linspace(-3.0, 3.0, 200)
     inc = np.array([h_func(w, 0.3, 0.8) for w in grid])
     dec = np.array([h_func(w, 0.8, 0.3) for w in grid])
-    comm = np.array([h_func(w, 0.6, 0.6) for w in grid])
     assert np.all(np.diff(inc) > 0)
     assert np.all(np.diff(dec) < 0)
-    assert np.all(np.diff(comm) < 0)
 
 
 def test_h_swap_symmetry():
@@ -93,23 +72,6 @@ def test_h_swap_symmetry():
         a = h_func(-w, q1, q2)
         b = h_func(w, q2, q1)
         assert abs(a - b) <= 1e-13 * max(1.0, abs(a))
-
-
-def test_curve_point_commensurate_line():
-    # q1 = q2 = q puts the curve on the line a11 + a22 = 2 sqrt(delta) cos(q pi/2)
-    cp = CurveParams(4.0, 0.5, 0.5)
-    pt0 = curve_point(cp, 0.0)
-    assert pt0.a11 == pytest.approx(math.sqrt(2.0), rel=1e-12)
-    assert pt0.a22 == pytest.approx(math.sqrt(2.0), rel=1e-12)
-    line = 2.0 * math.sqrt(4.0) * math.cos(math.pi / 4)
-    for w in np.linspace(-2.0, 2.0, 17):
-        pt = curve_point(cp, w)
-        assert pt.a11 + pt.a22 == pytest.approx(line, abs=1e-12)
-    # at q1 = q2 = 1 the line is a11 + a22 = 0, exactly: cos(pi/2) is not
-    # formed through fl(pi/2)
-    for w in np.linspace(-2.0, 2.0, 17):
-        pt = curve_point(CurveParams(4.0, 1.0, 1.0), w)
-        assert pt.a11 + pt.a22 == 0.0
 
 
 def test_curve_point_symmetric_incommensurate():
@@ -177,30 +139,44 @@ def test_phi_continuous_across_commensurate_switch():
     assert v_near == pytest.approx(v_comm, rel=1e-5)
 
 
+def test_sample_curve_validation():
+    cp = CurveParams(4.0, 0.6, 0.8)
+    for a11_min, a11_max, n in ((1.0, 1.0, 5), (1.0, -1.0, 5), (math.nan, 1.0, 5), (-1.0, 1.0, 1)):
+        with pytest.raises(ValueError):
+            sample_curve(cp, a11_min, a11_max, n)
+
+
 def test_sample_curve_monotone():
-    pts = sample_curve(CurveParams(4.0, 0.6, 0.8), -3.0, 3.0, 7)
-    assert len(pts) == 7
-    a11s = [p.a11 for p in pts]
-    assert all(b > a for a, b in zip(a11s, a11s[1:]))  # q1 < q2: increasing
+    # w* runs with a11 for q1 < q2, as h runs with w; phi decreases
+    rows = sample_curve(CurveParams(4.0, 0.6, 0.8), -3.0, 3.0, 7)
+    assert rows.shape == (7, 3)
+    assert np.all(np.diff(rows[:, 1]) > 0)
+    assert np.all(np.diff(rows[:, 0]) > 0)
+    assert np.all(np.diff(rows[:, 2]) < 0)
 
 
 def test_sample_curve_commensurate_collinear():
-    pts = sample_curve(CurveParams(1.0, 0.2, 0.2), -2.0, 2.0, 5)
-    assert len(pts) == 5
+    rows = sample_curve(CurveParams(1.0, 0.2, 0.2), -2.0, 2.0, 5)
+    assert rows.shape == (5, 3)
     line = 2.0 * math.cos(0.1 * math.pi)
-    for p in pts:
-        assert p.a11 + p.a22 == pytest.approx(line, abs=1e-12)
+    for w, a11, a22 in rows:
+        assert w == 0.0
+        assert a11 + a22 == pytest.approx(line, abs=1e-12)
 
 
 def test_sample_curve_small_q2_endpoint_quadrants():
-    # strongly asymmetric orders: both tails leave through the first quadrant
-    pts = sample_curve(CurveParams(4.0, 0.6, 0.02), -5.0, 5.0, 101)
-    assert len(pts) == 101
-    first, last = pts[0], pts[-1]
-    assert first.a11 > 0 and first.a22 > 0
-    assert last.a11 > 0 and last.a22 > 0
-    a11s = [p.a11 for p in pts]
-    assert all(b < a for a, b in zip(a11s, a11s[1:]))  # q1 > q2: decreasing
+    # strongly asymmetric orders: both tails of the paper's window w in
+    # [-5, 5] leave through the first quadrant; over the a11 it spans, the
+    # rows run from w* = 5 down to w* = -5 (q1 > q2: h decreases in w)
+    cp = CurveParams(4.0, 0.6, 0.02)
+    lo, hi = curve_point(cp, 5.0), curve_point(cp, -5.0)
+    rows = sample_curve(cp, lo.a11, hi.a11, 101)
+    assert rows.shape == (101, 3)
+    first, last = rows[0], rows[-1]
+    assert first[1] > 0 and first[2] > 0
+    assert last[1] > 0 and last[2] > 0
+    assert first[0] == pytest.approx(5.0, rel=1e-9) and last[0] == pytest.approx(-5.0, rel=1e-9)
+    assert np.all(np.diff(rows[:, 0]) < 0)
 
 
 def test_curve_points_avoid_closed_regions():
@@ -208,22 +184,53 @@ def test_curve_points_avoid_closed_regions():
     for _ in range(25):
         delta = rng.uniform(0.1, 6.0)
         q1, q2 = rng.uniform(0.1, 1.0, size=2)
-        for pt in sample_curve(CurveParams(delta, q1, q2), -2.5, 2.5, 40):
-            mem = region_membership(pt.a11, pt.a22, delta)
-            assert not mem.in_ru and not mem.in_rs
+        for _, a11, a22 in sample_curve(CurveParams(delta, q1, q2), -2.5, 2.5, 40):
+            assert classify_order_independent(a11, a22, delta) is None
+
+
+@pytest.mark.parametrize("delta, q1, q2, a11_min, a11_max, n", [
+    (REF_DELTA, 0.5, 0.25, -0.06, 0.06, 601),  # the README example
+    (4.0, 1.0, 1.0, -3.0, 3.0, 61),
+    (2.5, 0.45, 0.95, -2.0, 2.0, 200),
+])
+def test_sample_curve_rows_on_gamma(delta, q1, q2, a11_min, a11_max, n):
+    # every row is, bit for bit, a point classify puts on Gamma
+    cp = CurveParams(delta, q1, q2)
+    rows = sample_curve(cp, a11_min, a11_max, n)
+    assert rows.shape == (n, 3)
+    for w, a11, a22 in rows:
+        assert a22 == phi(cp, a11)
+        assert w == solve_omega_star(cp, a11)
+        v = _classify_params(a11, a22, delta, q1, q2)
+        assert v.margin == 0.0 and v.kind is VerdictKind.MarginalOnCurve, (a11, a22, v)
+
+
+def test_sample_curve_continuous_across_former_band_edge():
+    # orders 0.9e-8 and 1.1e-8 apart, either side of where the paper's rho_k
+    # were once replaced by the equal-order line: phi and w* move by no more
+    # than the gap does
+    a = sample_curve(CurveParams(4.0, 0.5, 0.5 + 0.9e-8), -1.0, 3.0, 41)
+    b = sample_curve(CurveParams(4.0, 0.5, 0.5 + 1.1e-8), -1.0, 3.0, 41)
+    assert np.array_equal(a[:, 1], b[:, 1])
+    for ra, rb in zip(a, b):
+        terms = phi_terms(CurveParams(4.0, 0.5, 0.5 + 0.9e-8), ra[1])[1]
+        assert abs(ra[2] - rb[2]) <= 1e-8 * terms, (ra, rb)
+    assert np.max(np.abs(np.concatenate((a[:, 0], b[:, 0])))) <= 1e-7
 
 
 def test_curve_carries_pure_imaginary_root():
-    # each curve point admits the root s = i delta^(1/(q1+q2)) e^omega
+    # at an a11 placed by the paper's parametrization, the system on phi
+    # admits the root s = i delta^(1/(q1+q2)) e^(w*)
     rng = np.random.default_rng(15)
     for _ in range(25):
         delta = rng.uniform(0.1, 6.0)
         q1, q2 = rng.uniform(0.1, 1.0, size=2)
+        cp = CurveParams(delta, q1, q2)
         radius = delta ** (1.0 / (q1 + q2))
         for w in np.linspace(-2.0, 2.0, 15):
-            pt = curve_point(CurveParams(delta, q1, q2), w)
-            p = CharParams(pt.a11, pt.a22, delta, q1, q2)
-            s = 1j * radius * math.exp(w)
+            a11 = curve_point(cp, w).a11
+            p = CharParams(a11, phi(cp, a11), delta, q1, q2)
+            s = 1j * radius * math.exp(solve_omega_star(cp, a11))
             assert abs(delta_eval(p, s)) <= 1e-9 * (1.0 + delta)
 
 

@@ -155,11 +155,11 @@ def test_simulate_csv_fields_round_trip(tmp_path, capsys, spec, x0, t_end, h, re
 
 def test_curve_csv_fields_round_trip(tmp_path, capsys):
     out_path = tmp_path / "curve.csv"
-    cli.main(["curve", "--delta", "4", "--q1", "0.5", "--q2", "0.5", "--omega-min=-3",
-              "--omega-max", "3", "--n", "1500", "--out", str(out_path)])
+    cli.main(["curve", "--delta", "4", "--q1", "0.5", "--q2", "0.5", "--a11-min=-3",
+              "--a11-max", "3", "--n", "1500", "--out", str(out_path)])
     capsys.readouterr()
     fields = csv_fields(out_path)
     assert len(fields) == 3 * 1500
     assert all("%.17g" % float(s) == s for s in fields)
-    points = sample_curve(CurveParams(4.0, 0.5, 0.5), -3.0, 3.0, 1500)
-    assert [float(s) for s in fields[::3]] == [pt.omega for pt in points]
+    rows = sample_curve(CurveParams(4.0, 0.5, 0.5), -3.0, 3.0, 1500)
+    assert [float(s) for s in fields] == rows.ravel().tolist()

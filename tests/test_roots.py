@@ -19,7 +19,6 @@ from fracstab import (
     classify,
     commensurate_reduce,
     count_unstable_roots,
-    curve_point,
     delta_eval,
     matignon_stable,
     phi,
@@ -28,6 +27,7 @@ from fracstab import (
     roots as roots_module,
     unstable_root_bounds,
 )
+from paper_gamma import curve_point
 
 REF_A = dict(a11=0.00001, a12=1.0, a21=-0.0022, a22=0.1)
 REF_DELTA = REF_A["a11"] * REF_A["a22"] - REF_A["a12"] * REF_A["a21"]

@@ -15,13 +15,13 @@ from fracstab import (
     SystemSpec,
     VerdictKind,
     classify,
-    curve_point,
+    classify_order_independent,
     estimate_decay,
     integrate,
-    region_membership,
 )
 from fracstab import simulate
 from fracstab.simulate import _BLOCK, _weights
+from paper_gamma import curve_point
 
 REF_A = dict(a11=0.00001, a12=1.0, a21=-0.0022, a22=0.1)
 REF_STABLE = SystemSpec(**REF_A, q1=0.5, q2=0.25)
@@ -194,8 +194,7 @@ def test_verdict_corroboration():
             a11, a22 = pt.a11, pt.a22 + u
             if max(abs(a11), abs(a22)) > 3.0:
                 continue
-            mem = region_membership(a11, a22, delta)
-            if mem.in_ru or mem.in_rs:
+            if classify_order_independent(a11, a22, delta) is not None:
                 continue
             s = SystemSpec(a11, 1.0, a11 * a22 - delta, a22, q1, q2)
             v = classify(s)
