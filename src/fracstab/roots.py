@@ -51,10 +51,7 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 _MAX_DEPTH = 24  # bisections of one contour step
-# the locator's Newton accepts |Delta| within this many rounding bounds, in at
-# most _NEWTON_MAX steps
-_NEWTON_ROUNDINGS = 64.0
-_NEWTON_MAX = 80
+_NEWTON_MAX = 80  # the locator's Newton steps per continuation step
 # l and L must lie in [1e-300, 1e300], so the contour radii stay doubles
 _LOG_ANNULUS_MIN, _LOG_ANNULUS_MAX = math.log(1e-300), math.log(1e300)
 _LOG_DBL_MAX = math.log(sys.float_info.max)
@@ -232,8 +229,10 @@ def count_unstable_roots(p: CharParams) -> RootCountReport:
     A system on the critical curve has a root on the imaginary axis, which
     the contour cannot count: it raises ContourThroughRoot, from a sample
     where Delta is zero to rounding or from a phase step that bisection
-    cannot settle. Both tests are relative to Delta's term majorant, so the
-    count and its failures do not change under time scaling.
+    cannot settle. Both tests are relative to Delta's term majorant. The
+    count is checked invariant under time scaling for c in [1e-12, 1e12] on
+    moderate systems only: a system that counts 2 counts 0 at c = 1e-8 and
+    at c = 1e8 (ROADMAP items 1 and 13).
     """
     if not p.delta > 0.0:
         raise DeltaNotPositive(f"contour counting requires delta > 0, got {p.delta!r}")
@@ -301,15 +300,19 @@ def _delta_w(p: CharParams, w: complex) -> tuple[complex, complex]:
     return t_q - t_2 - t_1 + p.delta, total * t_q - p.q2 * t_2 - p.q1 * t_1
 
 
-def _newton_upper(p: CharParams, w: complex, x0: float, x1: float) -> complex | None:
-    # Newton on Delta(e^w) from w; None once an iterate leaves the box
-    # x0 <= Re w <= x1, 0 < Im w <= pi/2
+def _newton_upper(p: CharParams, w: complex) -> tuple[complex, complex] | None:
+    # Newton on Delta(e^w) to the first iterate where Delta is zero to rounding,
+    # the contour's test; returns it and s*Delta'(s) there, or None once an
+    # iterate leaves 0 < Im w <= pi/2 or Delta's terms or rho leave the doubles
     for _ in range(_NEWTON_MAX):
-        if not (x0 <= w.real <= x1 and 0.0 < w.imag <= _HALF_PI):
+        if not (0.0 < w.imag <= _HALF_PI and -_LOG_DBL_MAX <= w.real <= _LOG_DBL_MAX / max(1.0, p.q1 + p.q2)):
+            return None
+        rho = delta_rounding_bound(p, cmath.exp(w))
+        if not rho < math.inf:
             return None
         f, df = _delta_w(p, w)
-        if abs(f) <= _NEWTON_ROUNDINGS * delta_rounding_bound(p, cmath.exp(w)):
-            return w
+        if abs(f) <= rho:
+            return w, df
         if df == 0:
             return None
         w -= f / df
@@ -323,24 +326,21 @@ def _continue_pair(p: CharParams) -> complex:
     w_star, phi0, _ = _crossing(CurveParams(p.delta, p.q1, p.q2), p.a11)
     if not (math.isfinite(phi0) and p.a22 > phi0):
         raise RefinementLimit(f"a22 = {p.a22:.17g} does not lie above phi(a11) = {phi0:.17g}")
-    # the bounds grow with |a22|, so the annulus at the larger of |a22| and
-    # |phi| holds every unstable root on the path
-    far = CharParams(p.a11, max(abs(p.a22), abs(phi0)), p.delta, p.q1, p.q2)
-    x0, x1 = _log_annulus(far, unstable_root_bounds(far))
     w = complex(w_star + math.log(p.delta) / (p.q1 + p.q2), _HALF_PI)
-    t, at, step = phi0, CharParams(p.a11, phi0, p.delta, p.q1, p.q2), p.a22 - phi0
+    if not w.real <= _LOG_DBL_MAX / max(1.0, p.q1 + p.q2):
+        raise RefinementLimit(f"the crossing i*omega* = i*exp({w.real:.6g}) is past double range")
+    t, step, slope = phi0, p.a22 - phi0, _delta_w(CharParams(p.a11, phi0, p.delta, p.q1, p.q2), w)[1]
     while t < p.a22:
         if t + step == t:
             raise RefinementLimit(f"continuation stalled at a22 = {t:.17g} on the way to {p.a22:.17g}")
         t_next = min(t + step, p.a22)
         nxt = p if t_next == p.a22 else CharParams(p.a11, t_next, p.delta, p.q1, p.q2)
-        slope = _delta_w(at, w)[1]
         guess = w + (t_next - t) * cmath.exp(p.q1 * w) / slope if slope else w
-        w_next = _newton_upper(nxt, guess, x0, x1)
-        if w_next is None:
+        located = _newton_upper(nxt, guess)
+        if located is None:
             step *= 0.25
         else:
-            w, t, at, step = w_next, t_next, nxt, 1.5 * step
+            (w, slope), t, step = located, t_next, 1.5 * step
     s = cmath.exp(w)
     if not (s.real >= 0.0 and s.imag > 0.0):
         raise RefinementLimit(f"continuation ended at {s}, outside Re s >= 0, Im s > 0")
@@ -358,10 +358,10 @@ def polish_unstable_roots(
     and any other count must equal the number of real roots. The pair is
     continued in a22 from (a11, phi(a11)) on Gamma, where it is +-i*omega*,
     by Newton on Delta(e^w) at each step: every iterate keeps
-    0 < Arg s <= pi/2, and |Delta| must come within _NEWTON_ROUNDINGS
-    rounding bounds (delta_rounding_bound) in _NEWTON_MAX steps. The
-    residual, the quadrant and the count certify the root. Returns exactly
-    `expected` roots sorted by (real, imag), or raises RefinementLimit.
+    0 < Arg s <= pi/2 and Delta's terms finite, and |Delta| must come within
+    delta_rounding_bound in _NEWTON_MAX steps. The residual, the quadrant and
+    the count certify the root. Returns exactly `expected` roots sorted by
+    (real, imag), or raises RefinementLimit.
     """
     if expected is None:
         expected = count_unstable_roots(p).n_unstable

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chareq import SystemSpec
+from .chareq import _EPS, _RHO_ULPS, SystemSpec
 from .errors import NotDecaying, SingularStep, StepCap
 
 __all__ = ["Trajectory", "DecayEstimate", "integrate", "estimate_decay", "STEP_CAP"]
@@ -104,31 +104,30 @@ def integrate(
 ) -> Trajectory:
     """Integrate the IVP from x(0) = x0 on the uniform grid with step h.
 
-    Deterministic; raises StepCap when t_end/h exceeds 2e5 grid steps and
-    SingularStep when the step's matrix I - Wc A is singular to rounding. The
-    trajectory is truncated with overflowed=True as soon as a state component
-    leaves the finite range (growth past 1e300).
+    Deterministic. The grid has N = ceil(t_end/h (1 - _RHO_ULPS eps)) steps;
+    StepCap is raised when N > 2e5, SingularStep when det(I - Wc A) is within
+    _RHO_ULPS eps of its products. The trajectory is truncated with
+    overflowed=True as soon as a state leaves [-1e300, 1e300].
     """
     if not (t_end > 0.0 and math.isfinite(t_end)):
         raise ValueError(f"t_end must be finite and > 0, got {t_end!r}")
     if not (h > 0.0 and math.isfinite(h)):
         raise ValueError(f"h must be finite and > 0, got {h!r}")
-    if t_end / h > STEP_CAP * (1.0 + 1e-12):
-        raise StepCap(
-            f"t_end/h = {t_end / h:.3g} exceeds the {STEP_CAP:.0e} step cap"
-        )
+    steps = t_end / h * (1.0 - _RHO_ULPS * _EPS)
+    if steps > STEP_CAP:
+        raise StepCap(f"t_end/h = {t_end / h:.17g} needs more than the {STEP_CAP:.0e} step cap")
     x_init = np.asarray(x0, dtype=float)
     if x_init.shape != (2,) or not np.all(np.isfinite(x_init)):
         raise ValueError(f"x0 must be a finite real pair, got {x0!r}")
 
-    n_steps = int(math.ceil(t_end / h - 1e-12))
+    n_steps = math.ceil(steps)
     qs = (s.q1, s.q2)
     amat = np.array([[s.a11, s.a12], [s.a21, s.a22]])
     wc = np.array([h**q / math.gamma(q + 2.0) for q in qs])
     # M = I - Wc A, as Python floats, whose products overflow to inf quietly
     (m00, m01), (m10, m11) = (np.eye(2) - wc[:, None] * amat).tolist()
     det = m00 * m11 - m01 * m10
-    if not (math.isfinite(det) and abs(det) > 4.0 * math.ulp(1.0) * (abs(m00 * m11) + abs(m01 * m10))):
+    if not (math.isfinite(det) and abs(det) > _RHO_ULPS * _EPS * (abs(m00 * m11) + abs(m01 * m10))):
         raise SingularStep(
             f"det(I - Wc A) = {det:.6g} at h = {h!r} is zero to rounding or "
             "not finite, so the implicit step has no unique solution"

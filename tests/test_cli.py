@@ -431,6 +431,22 @@ def test_simulate_growth_flagged(capsys):
 
 @pytest.mark.xfail(
     strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 9: at h = 0.1 the implicit step damps the unstable pair "
+    "0.0215 +- 5.378i, so the run decays and simulate exits 0",
+)
+def test_simulate_unresolved_step_exits_2(capsys):
+    # classify: UnstableForOrders (margin 0.0133); the scheme's discrete
+    # modes are all stable at h = 0.1 and 0.085, and two grow from h = 0.07
+    code, _, _ = run_cli(capsys, "simulate", "--a11=-3.2615849226852767", "--a12", "1",
+                         "--a21=-17.538250233798767", "--a22", "3.0460836760664165",
+                         "--q1", "1", "--q2", "0.625", "--x0", "1", "--y0", "1",
+                         "--t-end", "1861", "--h", "0.1")
+    assert code == EXIT_MARGINAL
+
+
+@pytest.mark.xfail(
+    strict=True,
     reason="the reference stable system is still inside its growing transient "
     "at t = 200, so the decay record cannot be produced on this horizon",
 )

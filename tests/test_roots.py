@@ -20,6 +20,7 @@ from fracstab import (
     commensurate_reduce,
     count_unstable_roots,
     delta_eval,
+    delta_rounding_bound,
     matignon_stable,
     phi,
     polish_unstable_roots,
@@ -27,6 +28,7 @@ from fracstab import (
     roots as roots_module,
     unstable_root_bounds,
 )
+from fracstab.classify import _classify_params
 from paper_gamma import curve_point
 
 REF_A = dict(a11=0.00001, a12=1.0, a21=-0.0022, a22=0.1)
@@ -165,6 +167,29 @@ def test_count_wide_annulus(p, n, kind):
     assert count_unstable_roots(p).n_unstable == n
     s = SystemSpec(p.a11, 1.0, p.a11 * p.a22 - p.delta, p.a22, p.q1, p.q2)
     assert classify(s).kind == kind
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 1: the contour's 32 start samples per edge step over a full "
+    "turn of an annulus of 172 to 550 decades, so it counts 0 from 132 samples",
+)
+@pytest.mark.parametrize("p", [
+    # the 1e-8 time scaling of (1.4377251725093476, -4.349505235718825,
+    # 0.39355519491597) at these orders, which counts 2; a complex pair
+    CharParams(0.47486522763004735, -6.622247096723242e-07, 1.9790905523705332e-08,
+               0.060138188434955615, 0.8521793095450059),
+    # positive real roots 8.4e13 and 1.5e15
+    CharParams(-1739897757.7319639, 3.1103385705443225, 11585010600.538202,
+               0.77078803447456, 0.03217496083944806),
+    # positive real roots 1.2e-21 and 9.0e-19
+    CharParams(0.05088424959653218, -6915.115643513023, 0.0014919742136497427,
+               0.377865872464321, 0.07211633158494736),
+])
+def test_count_unstable_on_very_wide_annulus(p):
+    assert count_unstable_roots(p).n_unstable == 2
+    assert _classify_params(p.a11, p.a22, p.delta, p.q1, p.q2).kind is VerdictKind.UnstableForOrders
 
 
 def test_count_detects_root_on_contour():
@@ -462,6 +487,52 @@ def test_polish_matches_companion_eigenvalues():
             got = polish_unstable_roots(s.char_params(), count)
             _assert_same_roots(got, want)
             npair += any(r.imag for r in got)
+
+
+def _draw_pair_probe(rng, kind: int) -> CharParams:
+    # kind 0: magnitudes over six decades; 1: the crosscheck box with
+    # rational orders; 2: just above Gamma, by 10^U(-10, 0) of |phi| + 1
+    if kind == 0:
+        a11, a22 = (float(v) for v in rng.uniform(-20.0, 20.0, 2) * 10.0 ** rng.uniform(-3.0, 3.0, 2))
+        delta = float(10.0 ** rng.uniform(-4.0, 4.0))
+        return CharParams(a11, a22, delta, *(float(q) for q in rng.uniform(0.02, 1.0, 2)))
+    if kind == 1:
+        n = int(rng.integers(2, 21))
+        a11, a22 = (float(v) for v in rng.uniform(-5.0, 5.0, 2))
+        delta = float(10.0 * (1.0 - rng.uniform()))
+        return CharParams(a11, a22, delta, *(int(k) / n for k in rng.integers(1, n + 1, 2)))
+    a11, delta = float(rng.uniform(-5.0, 5.0)), float(rng.uniform(0.1, 10.0))
+    q1, q2 = (float(q) for q in rng.uniform(0.05, 1.0, 2))
+    on_curve = phi(CurveParams(delta, q1, q2), a11)
+    return CharParams(a11, on_curve + float(10.0 ** rng.uniform(-10.0, 0.0)) * (abs(on_curve) + 1.0), delta, q1, q2)
+
+
+def test_located_pair_matches_50_digits():
+    # Newton stops where |Delta| is zero to rounding, the contour's own test,
+    # so the located root is off by at most about rho/|Delta'|, the root's
+    # own rounding bound: a few eps relative unless the root is ill
+    # conditioned. 64 rounding bounds left errors up to 62 times that, and
+    # up to 5.7e-11 relative, on these recipes
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(21)
+    pairs = draws = 0
+    while pairs < 60:
+        p = _draw_pair_probe(rng, draws % 3)
+        draws += 1
+        try:
+            roots = polish_unstable_roots(p)
+        except ContourThroughRoot:
+            continue
+        if len(roots) != 2 or roots[0].imag == 0.0:
+            continue
+        pairs += 1
+        s = roots[1]
+        with mp.workdps(50):
+            a11, a22, delta, q1, q2 = (mp.mpf(v) for v in (p.a11, p.a22, p.delta, p.q1, p.q2))
+            exact = mp.findroot(lambda z: z ** (q1 + q2) - a11 * z ** q2 - a22 * z ** q1 + delta, mp.mpc(s))
+            slope = (q1 + q2) * exact ** (q1 + q2) - q2 * a11 * exact ** q2 - q1 * a22 * exact ** q1
+            err = float(abs(exact - s))
+        assert err <= 2.0 * delta_rounding_bound(p, s) * abs(s) / float(abs(slope)), (p, s, err)
 
 
 @pytest.mark.parametrize(

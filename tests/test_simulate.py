@@ -20,7 +20,8 @@ from fracstab import (
     integrate,
 )
 from fracstab import simulate
-from fracstab.simulate import _BLOCK, _weights
+from fracstab.chareq import _EPS, _RHO_ULPS
+from fracstab.simulate import _BLOCK, STEP_CAP, _weights
 from paper_gamma import curve_point
 
 REF_A = dict(a11=0.00001, a12=1.0, a21=-0.0022, a22=0.1)
@@ -39,7 +40,7 @@ def direct_integrate(s, x0, t_end, h):
     c_m and a_{0,n} come from `_weights`, which test_weights_match_mpmath
     checks against 50-digit values.
     """
-    n_steps = int(math.ceil(t_end / h - 1e-12))
+    n_steps = math.ceil(t_end / h * (1.0 - _RHO_ULPS * _EPS))
     a = np.array([[s.a11, s.a12], [s.a21, s.a22]])
     qs = (s.q1, s.q2)
     c_ker, a0_ker = _weights(qs, n_steps + 1)
@@ -277,9 +278,11 @@ def test_singular_step():
     with pytest.raises(SingularStep):
         integrate(SystemSpec(2.0, 0.0, 0.0, 2.0, 1.0, 1.0), (1.0, 1.0), 10.0, 1.0)
     # zero to rounding: I - Wc A = [[3, 1], [1, 1/3 + 1.7e-16]], whose det
-    # 4.4e-16 is within 4 eps of its terms
-    with pytest.raises(SingularStep):
-        integrate(SystemSpec(-4.0, -2.0, -2.0, 1.333333333333333, 1.0, 1.0), (1.0, 1.0), 10.0, 1.0)
+    # 4.4e-16 is within 8 eps of its products; and 1/3 + 8.9e-16, whose det
+    # 2.7e-15 is 6 eps of them
+    for a22 in (1.333333333333333, 1.3333333333333315):
+        with pytest.raises(SingularStep):
+            integrate(SystemSpec(-4.0, -2.0, -2.0, a22, 1.0, 1.0), (1.0, 1.0), 10.0, 1.0)
     # its terms overflow a double
     with pytest.raises(SingularStep):
         integrate(SystemSpec(1e200, 0.0, 0.0, 1e200, 1.0, 1.0), (1.0, 1.0), 10.0, 1.0)
@@ -501,6 +504,26 @@ def test_memory_peak():
 def test_step_cap():
     with pytest.raises(StepCap):
         integrate(DECOUPLED, (1.0, 1.0), 30.0, 1e-4)
+
+
+def test_step_count_absorbs_the_rounding_of_t_end_over_h():
+    # 11470.2/0.7 reads 16386.000000000004 and 1800/0.009 reads
+    # 200000.00000000003: each lies within its rounding of an integer, so
+    # the grid takes that integer and ends at t_end to rounding, and the
+    # second run is exactly the cap, not one step past it
+    traj = integrate(DECOUPLED, (1.0, 1.0), 11470.2, 0.7)
+    assert len(traj.times) == 16387 and traj.times[-1] <= 11470.2
+    assert len(integrate(DECOUPLED, (1.0, 1.0), 1800.0, 0.009).times) == STEP_CAP + 1
+
+
+def test_step_count_rounds_up_past_rounding():
+    # t_end/h = 10.0000000000005 is 5e-14 relative above 10, far more than
+    # its rounding: the grid takes 11 steps and covers t_end
+    traj = integrate(DECOUPLED, (1.0, 1.0), 5.00000000000025, 0.5)
+    assert len(traj.times) == 12 and traj.times[-1] >= 5.00000000000025
+    # 5e-13 of the quotient past the cap is a 200001st step
+    with pytest.raises(StepCap):
+        integrate(DECOUPLED, (1.0, 1.0), 200000.0000001, 1.0)
 
 
 def test_input_validation():
