@@ -46,7 +46,7 @@ import numpy as np
 
 from . import __version__
 from ._g17 import format_rows
-from .chareq import CharParams, SystemSpec
+from .chareq import CharParams, SystemSpec, _check_finite
 from .classify import _CODES, classify, qscan_verdicts
 from .curve import CurveParams, sample_curve
 from .errors import (
@@ -196,11 +196,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve_delta(args) -> float:
-    """--delta wins; otherwise derive det(A) from the full matrix."""
+    """--delta wins; otherwise derive det(A) from the full matrix.
+
+    Every number given must be finite (ValueError); a det of finite entries
+    that overflows is returned as it is, for the caller to judge.
+    """
+    _check_finite("a11", args.a11)
+    _check_finite("a22", args.a22)
     if getattr(args, "delta", None) is not None:
+        _check_finite("delta", args.delta)
         return args.delta
     if args.a12 is None or args.a21 is None:
         raise ValueError("provide either --delta or both --a12 and --a21")
+    _check_finite("a12", args.a12)
+    _check_finite("a21", args.a21)
     return args.a11 * args.a22 - args.a12 * args.a21
 
 
@@ -233,22 +242,29 @@ def _cmd_curve(args) -> int:
 def _cmd_qscan(args) -> int:
     delta = _resolve_delta(args)
     grid = qscan_verdicts(args.a11, args.a22, delta, args.grid)
-    n = args.grid
+    n, header = args.grid, "q1,q2,stable\n"
     qs = [_fmt(j / n) for j in range(1, n + 1)]
-    # one "%d" slot per cell, rows joined once, filled by one % over the raster
-    template = "".join([q1 + "," + (",%d\n" + q1 + ",").join(qs) + ",%d\n" for q1 in qs])
-    body = "q1,q2,stable\n" + template % tuple(grid.ravel().tolist())
+    # the body as ASCII bytes, rows joined once with a "0" in each digit slot;
+    # row (j, k) is "q1,q2,0\n", so its slot is two bytes before its end, and
+    # one add over the slots writes the raster's codes 0, 1, 2 as digits
+    rows = "".join([q1 + "," + (",0\n" + q1 + ",").join(qs) + ",0\n" for q1 in qs])
+    text = bytearray(header + rows, "ascii")
+    widths = np.fromiter(map(len, qs), np.intp, n)
+    slots = len(header) - 2 + np.cumsum(widths[:, None] + widths + 4)
+    np.frombuffer(text, np.uint8)[slots] += grid.ravel().view(np.uint8)
+    body = text.decode("ascii")
     if args.out:
         with _overwrite(args.out) as fh:
             fh.write(body)
         _write_manifest(args.out, "qscan", args)
     else:
         sys.stdout.write(body)
+    unstable, stable, marginal = np.bincount(grid.ravel(), minlength=3).tolist()
     record = {
         "cells": int(n * n),
-        "stable": int((grid == 1).sum()),
-        "unstable": int((grid == 0).sum()),
-        "marginal": int((grid == 2).sum()),
+        "stable": stable,
+        "unstable": unstable,
+        "marginal": marginal,
         "out": args.out,
     }
     _print_record(record, args.json)

@@ -132,6 +132,16 @@ def test_exit_code_table(capsys):
         (EXIT_USAGE, ["classify", *REF, "--q1", "1.5", "--q2", "0.5"]),
         (EXIT_USAGE, ["classify", *REF, "--q1", "abc", "--q2", "0.5"]),
         (EXIT_USAGE, ["no-such-command"]),
+        # a non-finite number given to qscan, also where R_u/R_s would settle
+        # the raster, is a usage error as in classify and roots; a det of
+        # finite entries that overflows to NaN is a data error, as in classify
+        (EXIT_USAGE, ["qscan", "--a11", 0, "--a22", "inf", "--delta", 1, "--grid", 2]),
+        (EXIT_USAGE, ["qscan", "--a11", "-inf", "--a22", -1, "--delta", 1, "--grid", 2]),
+        (EXIT_USAGE, ["qscan", "--a11", -1, "--a22", -2, "--delta", "inf", "--grid", 2]),
+        (EXIT_USAGE, ["qscan", "--a11", "0.5", "--a22", "0.3", "--delta", "inf", "--grid", 2]),
+        (EXIT_USAGE, ["qscan", "--a11", -1, "--a22", -2, "--a12", "nan", "--a21", 1, "--grid", 2]),
+        (EXIT_DATA, ["qscan", "--a11", "1e200", "--a22=-1e200", "--a12", "1e200", "--a21=-1e200",
+                     "--grid", 2]),
         # negative values in exponent notation are values after a space too
         (EXIT_STABLE, ["simulate", "--a11", -1, "--a12", "-1.2e-05", "--a21", 0, "--a22", -1,
                        "--q1", "0.5", "--q2", "0.5", "--x0", 1, "--y0", 1,
@@ -332,13 +342,11 @@ def test_qscan_marginal_cell(capsys):
 
 
 def per_cell_csv(a11, a22, delta, n):
-    """The CSV as the per-cell _fmt loop wrote it, from qscan_verdicts."""
+    """The qscan CSV as a writer independent of the CLI's makes it from qscan_verdicts."""
     grid = qscan_verdicts(a11, a22, delta, n)
-    lines = ["q1,q2,stable"]
-    for j in range(1, n + 1):
-        for k in range(1, n + 1):
-            lines.append(f"{_fmt(j / n)},{_fmt(k / n)},{int(grid[j - 1, k - 1])}")
-    return "\n".join(lines) + "\n"
+    return "q1,q2,stable\n" + "".join(
+        f"{j / n:.17g},{k / n:.17g},{grid[j - 1, k - 1]}\n" for j in range(1, n + 1) for k in range(1, n + 1)
+    )
 
 
 REF_QSCAN = (0.00001, 0.1, 0.00001 * 0.1 - 1.0 * -0.0022)
@@ -359,6 +367,38 @@ def test_qscan_csv_bytes_stdout(capsys):
     assert "0.14285714285714285," in body
     assert out.startswith(body)
     assert out[len(body):].count("\n") == 1  # the record line alone follows
+
+
+# the CI band-edge system: its cell (0.5, 0.25) lies 0.98 of the tie band from Gamma
+BAND_EDGE = (2.22482911498453, 1.0, -1.407622671639134, 1.566515638408386)
+REF_A = (0.00001, 1.0, -0.0022, 0.1)
+
+
+@pytest.mark.parametrize(
+    "a,g",
+    [(REF_A, 2), (REF_A, 7), (REF_A, 32), (REF_A, 48), (BAND_EDGE, 4)],
+    ids=["ref-2", "ref-7", "ref-32", "ref-48", "band_edge-4"],
+)
+def test_qscan_bytes_pinned(tmp_path, capsys, a, g):
+    # the --out file and the stdout body are the bytes an independent
+    # writer makes from qscan_verdicts, and the record counts its codes
+    a11, a12, a21, a22 = a
+    args = [f"--{name}={value!r}" for name, value in zip(("a11", "a12", "a21", "a22"), a)]
+    delta = a11 * a22 - a12 * a21
+    grid, body = qscan_verdicts(a11, a22, delta, g), per_cell_csv(a11, a22, delta, g)
+    out_path = tmp_path / "scan.csv"
+    code, out_record, _ = run_cli(capsys, "qscan", *args, "--grid", g, "--out", out_path)
+    assert code == 0
+    assert out_path.read_bytes() == body.encode()
+    code, out, _ = run_cli(capsys, "qscan", *args, "--grid", g)
+    assert code == 0
+    assert out[: len(body)] == body
+    counts = {key: int(np.count_nonzero(grid == v)) for key, v in (("stable", 1), ("unstable", 0), ("marginal", 2))}
+    assert 0 < counts["stable"] < g * g
+    for record in (parse_record(out[len(body):]), parse_record(out_record)):
+        assert {key: int(record[key]) for key in counts} == counts
+        assert int(record["cells"]) == g * g
+    assert (counts["marginal"] > 0) == (a is BAND_EDGE)
 
 
 def test_qscan_bracket_failure_exit(monkeypatch, capsys):

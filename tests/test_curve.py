@@ -16,7 +16,7 @@ from fracstab import (
     solve_omega_star,
 )
 from fracstab.classify import _classify_params
-from fracstab.curve import phi_orders
+from fracstab.curve import _logaddexp, phi_orders
 from paper_gamma import curve_point, h_func, rho, u_max
 
 REF_DELTA = 0.002201
@@ -281,6 +281,29 @@ def test_phi_past_double_range():
     for cp, a11 in ((CurveParams(1.0, 1.0, 1.0 / 48), 1e7), (CurveParams(1.0, 0.1, 0.9), 1e40)):
         assert phi(cp, a11) == -math.inf
         assert float(phi_orders(cp.delta, a11, cp.q1, cp.q2)[0]) == -math.inf
+
+
+def test_logaddexp_form_matches_numpy():
+    # _omega_star's lae in numpy's vector exp and log1p stays within 2 ulp of
+    # max(|lae|, 1) of np.logaddexp's libm loop, so inside the 2*eps*(|lae| + 1)
+    # that n_K grants it; a -inf argument (a11 = 0), equal arguments, gaps
+    # past 40 and sums near 0 included. A float gets its array cell's bits.
+    rng = np.random.default_rng(30)
+    n = 20000
+    a = np.concatenate([rng.uniform(-60.0, 60.0, n // 2), rng.uniform(-1.0, 0.5, n // 2)])
+    gap = np.concatenate([
+        rng.uniform(-45.0, 45.0, n // 2),
+        rng.choice([-1.0, 1.0], n // 4) * rng.uniform(40.0, 800.0, n // 4),
+        np.zeros(n // 4),
+    ])
+    b = a + rng.permutation(gap)
+    a[:200] = -np.inf
+    got, want = _logaddexp(a, b), np.logaddexp(a, b)
+    assert np.all(np.abs(got - want) <= 2.0 * np.spacing(np.maximum(np.abs(want), 1.0)))
+    assert np.array_equal(got[:200], b[:200])
+    assert np.array_equal(got[a == b], want[a == b])  # m + fl(log 2), as npy_logaddexp
+    scalar = np.array([_logaddexp(float(x), float(y)) for x, y in zip(a[::10], b[::10])])
+    assert np.array_equal(scalar, got[::10])
 
 
 def test_omega_star_near_band_settles():
